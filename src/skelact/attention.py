@@ -64,14 +64,14 @@ def init_attention_params(rng, model_dim, heads=4, split_heads=False, tie_projec
 
 
 def scaled_dot_attention(q, k, v, d_k, return_weights=False):
-    """softmax(Q K^T / sqrt(d_k)) V over [T, *] tensors."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimensionError("scaled_dot_attention expects 2-d Q, K, V")
+    """softmax(Q K^T / sqrt(d_k)) V over [..., T, *] tensors; leading axes are batch."""
+    if q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim:
+        raise DimensionError("scaled_dot_attention expects 2-d Q, K, V or equal-rank batches of them")
     if q.data.shape != k.data.shape:
         raise DimensionError(f"Q shape {q.data.shape} differs from K shape {k.data.shape}")
-    if v.data.shape[0] != k.data.shape[0]:
+    if v.data.shape[:-1] != k.data.shape[:-1]:
         raise DimensionError(
-            f"V has {v.data.shape[0]} rows but K has {k.data.shape[0]} (axis 0)"
+            f"V has {v.data.shape[-2]} rows but K has {k.data.shape[-2]} (axis {k.data.ndim - 2})"
         )
     if d_k <= 0:
         raise ContractError(f"scale d_k must be positive, got {d_k}")
@@ -84,12 +84,19 @@ def scaled_dot_attention(q, k, v, d_k, return_weights=False):
 
 
 def multi_head_self_attention(x, params, return_weights=False):
-    """Self-attention (Q = K = V = x) with per-head projections, concat, W_o."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"multi_head_self_attention expects a 2-d input, got {x.data.ndim}-d")
-    if x.data.shape[1] != params.model_dim:
+    """Self-attention (Q = K = V = x) with per-head projections, concat, W_o.
+
+    x is [T, D] or a batch [..., T, D]: the projections are one GEMM over all
+    rows, and Q K^T and the weighted sum are batched matrix products.
+    """
+    if x.data.ndim < 2:
         raise DimensionError(
-            f"input width {x.data.shape[1]} does not match model_dim {params.model_dim} (axis 1)"
+            f"multi_head_self_attention expects a 2-d input or a batch of them, got {x.data.ndim}-d"
+        )
+    if x.data.shape[-1] != params.model_dim:
+        raise DimensionError(
+            f"input width {x.data.shape[-1]} does not match model_dim {params.model_dim} "
+            f"(axis {x.data.ndim - 1})"
         )
     head_outs = []
     all_weights = []
@@ -100,7 +107,7 @@ def multi_head_self_attention(x, params, return_weights=False):
         out, w = scaled_dot_attention(q, k, v, params.scale, return_weights=True)
         head_outs.append(out)
         all_weights.append(w)
-    stacked = head_outs[0] if len(head_outs) == 1 else ad.concat(head_outs, axis=1)
+    stacked = head_outs[0] if len(head_outs) == 1 else ad.concat(head_outs, axis=-1)
     projected = ad.matmul(stacked, params.w_o)
     if return_weights:
         return projected, all_weights

@@ -34,7 +34,7 @@ def no_grad():
 class Tensor:
     """n-dimensional float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -96,7 +96,10 @@ def backward(loss):
     """Populate grads of every requires_grad tensor reachable from `loss`.
 
     The recorded graph is walked in reverse topological order so each node's
-    output gradient is complete before it propagates to its parents.
+    output gradient is complete before it propagates to its parents. Each
+    node's closure and parent links are dropped once it has run, so the graph
+    is released as the walk proceeds: intermediates only the graph held are
+    freed, while tensors the caller still holds keep their `.grad`.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -118,9 +121,12 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
 
 
 def zero_grads(tensors):
@@ -225,13 +231,14 @@ def reshape(x, shape):
 
 
 def transpose(x):
-    if x.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-d tensor, got {x.data.ndim}-d")
+    """Swap the last two axes; any leading axes are batch."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"transpose expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
 
     def bw(g):
-        _accumulate(x, g.T)
+        _accumulate(x, np.swapaxes(g, -1, -2))
 
-    return _node(x.data.T.copy(), (x,), bw)
+    return _node(np.swapaxes(x.data, -1, -2).copy(), (x,), bw)
 
 
 def slice_rows(x, start, stop):
@@ -246,10 +253,13 @@ def slice_rows(x, start, stop):
 
 
 def reverse_rows(x):
-    def bw(g):
-        _accumulate(x, g[::-1].copy())
+    """Reverse the row axis: -2 of a [..., T, D] tensor, the only axis of a vector."""
+    axis = max(x.data.ndim - 2, 0)
 
-    return _node(x.data[::-1].copy(), (x,), bw)
+    def bw(g):
+        _accumulate(x, np.flip(g, axis).copy())
+
+    return _node(np.flip(x.data, axis).copy(), (x,), bw)
 
 
 def concat(parts, axis=0):
@@ -257,6 +267,9 @@ def concat(parts, axis=0):
     if not parts:
         raise ContractError("concat requires at least one part")
     ref = parts[0].data.shape
+    if not -len(ref) <= axis < len(ref):
+        raise DimensionError(f"concat: axis {axis} out of range for {len(ref)}-d parts")
+    axis %= len(ref)
     for p in parts[1:]:
         if p.data.ndim != len(ref):
             raise DimensionError(f"concat: rank mismatch ({p.data.ndim} vs {len(ref)})")
@@ -290,73 +303,110 @@ def sum_all(x):
 
 
 def pick(x, index):
-    if x.data.ndim != 1:
-        raise DimensionError(f"pick expects a 1-d tensor, got {x.data.ndim}-d")
-    index = int(index)
-    if not 0 <= index < x.data.shape[0]:
-        raise ContractError(f"pick index {index} out of range [0, {x.data.shape[0]})")
+    """x[index] of a vector, or one entry per row of x [..., C] given indices of shape x.shape[:-1]."""
+    if x.data.ndim < 1:
+        raise DimensionError("pick expects a 1-d tensor, got 0-d")
+    index = np.asarray(index)
+    if index.shape != x.data.shape[:-1]:
+        raise DimensionError(
+            f"pick: index shape {index.shape} does not match the {x.data.shape[:-1]} rows of the tensor"
+        )
+    index = index.astype(np.int64)[..., None]
+    width = x.data.shape[-1]
+    bad = (index < 0) | (index >= width)
+    if bad.any():
+        raise ContractError(f"pick index {int(index[bad][0])} out of range [0, {width})")
 
     def bw(g):
         full = np.zeros_like(x.data)
-        full[index] = float(g)
+        np.put_along_axis(full, index, np.asarray(g)[..., None], axis=-1)
         _accumulate(x, full)
 
-    return _node(np.asarray(x.data[index]), (x,), bw)
+    return _node(np.take_along_axis(x.data, index, axis=-1)[..., 0], (x,), bw)
 
 
 def global_avg_pool(x):
-    """Mean over the leading (time) axis of a [T, D] tensor."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"global_avg_pool expects a 2-d tensor, got {x.data.ndim}-d")
-    t = x.data.shape[0]
+    """Mean over the time axis (-2) of a [..., T, D] tensor."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"global_avg_pool expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
+    t = x.data.shape[-2]
     if t < 1:
-        raise DimensionError("global_avg_pool: empty time axis (axis 0)")
+        raise DimensionError(f"global_avg_pool: empty time axis (axis {x.data.ndim - 2})")
 
     def bw(g):
-        _accumulate(x, np.broadcast_to(g / t, x.data.shape).copy())
+        _accumulate(x, np.broadcast_to(np.expand_dims(g / t, -2), x.data.shape).copy())
 
-    return _node(x.data.mean(axis=0), (x,), bw)
+    return _node(x.data.mean(axis=-2), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
+def _rows(a):
+    """[..., D] as a [N, D] matrix of its rows (a view when a is contiguous)."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects 2-d tensors")
-    if a.data.shape[1] != b.data.shape[0]:
+    """a [..., M, K] times either a shared matrix b [K, N] or a batch b [..., K, N].
+
+    A shared b is one GEMM over all rows of a, in the forward pass and for
+    b's gradient; a batched b pairs each leading index of a with its own.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise DimensionError("matmul expects 2-d tensors or batches of them")
+    if b.data.ndim > 2 and b.data.shape[:-2] != a.data.shape[:-2]:
         raise DimensionError(
-            f"matmul: inner dimensions disagree (axis 1 of lhs = {a.data.shape[1]}, "
-            f"axis 0 of rhs = {b.data.shape[0]})"
+            f"matmul: batch axes differ ({a.data.shape[:-2]} vs {b.data.shape[:-2]})"
         )
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise DimensionError(
+            f"matmul: inner dimensions disagree (axis {a.data.ndim - 1} of lhs = {a.data.shape[-1]}, "
+            f"axis {b.data.ndim - 2} of rhs = {b.data.shape[-2]})"
+        )
+    if b.data.ndim > 2:
+
+        def bw(g):
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+
+        return _node(a.data @ b.data, (a, b), bw)
+
+    a2 = _rows(a.data)
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        g2 = _rows(g)
+        _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+        _accumulate(b, a2.T @ g2)
 
-    return _node(a.data @ b.data, (a, b), bw)
+    out = a2 @ b.data
+    return _node(out.reshape(a.data.shape[:-1] + out.shape[-1:]), (a, b), bw)
 
 
 def dense(x, weight, bias):
-    """Affine map: x [N, D_in] times weight [D_in, D_out] plus bias [D_out]."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"dense expects a 2-d input, got {x.data.ndim}-d")
-    if x.data.shape[1] != weight.data.shape[0]:
+    """Affine map: x [..., N, D_in] times weight [D_in, D_out] plus bias [D_out]."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"dense expects a 2-d input or a batch of them, got {x.data.ndim}-d")
+    axis = x.data.ndim - 1
+    if x.data.shape[-1] != weight.data.shape[0]:
         raise DimensionError(
-            f"dense: input axis 1 = {x.data.shape[1]} but weight axis 0 = {weight.data.shape[0]}"
+            f"dense: input axis {axis} = {x.data.shape[-1]} but weight axis 0 = {weight.data.shape[0]}"
         )
     if bias.data.shape != (weight.data.shape[1],):
         raise DimensionError(
             f"dense: bias shape {bias.data.shape} does not match output width {weight.data.shape[1]}"
         )
+    x2 = _rows(x.data)
 
     def bw(g):
-        _accumulate(x, g @ weight.data.T)
-        _accumulate(weight, x.data.T @ g)
-        _accumulate(bias, g.sum(axis=0))
+        g2 = _rows(g)
+        _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        _accumulate(weight, x2.T @ g2)
+        _accumulate(bias, g2.sum(axis=0))
 
-    return _node(x.data @ weight.data + bias.data, (x, weight, bias), bw)
+    out = x2 @ weight.data + bias.data
+    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +414,9 @@ def dense(x, weight, bias):
 
 
 def softmax(x):
-    """Row-stable softmax over the last axis of a 1-d or 2-d tensor."""
-    if x.data.ndim not in (1, 2):
-        raise DimensionError(f"softmax expects a 1-d or 2-d tensor, got {x.data.ndim}-d")
+    """Row-stable softmax over the last axis; any leading axes are rows."""
+    if x.data.ndim < 1:
+        raise DimensionError("softmax expects a 1-d tensor or a batch of them, got 0-d")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
@@ -379,30 +429,30 @@ def softmax(x):
 
 
 def layer_norm(x, gain, shift, epsilon=1e-6):
-    """Per-row standardization of [N, D] followed by an affine with gain/shift."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"layer_norm expects a 2-d tensor, got {x.data.ndim}-d")
-    d = x.data.shape[1]
+    """Per-row standardization of [..., N, D] followed by an affine with gain/shift."""
+    if x.data.ndim < 2:
+        raise DimensionError(f"layer_norm expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
+    d = x.data.shape[-1]
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/shift must have shape ({d},), got {gain.data.shape} and {shift.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = (x.data - mu) * inv
 
     def bw(g):
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(shift, g.sum(axis=0))
+        _accumulate(gain, _rows(g * xhat).sum(axis=0))
+        _accumulate(shift, _rows(g).sum(axis=0))
         dxhat = g * gain.data
         _accumulate(
             x,
             inv
             * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             ),
         )
 
@@ -423,54 +473,59 @@ def _conv_padding(kernel_width, padding):
 
 
 def conv1d(x, kernel, bias, padding="same"):
-    """1-d convolution of x [L, C_in] with kernel [K, C_in, C_out] and bias [C_out].
+    """1-d convolution of x [..., L, C_in] with kernel [K, C_in, C_out] and bias [C_out].
 
-    'same' keeps L positions via zero padding; 'valid' yields L - K + 1.
+    Leading axes are batch. 'same' keeps L positions via zero padding;
+    'valid' yields L - K + 1. All sequences' windows (im2col) go through one
+    GEMM with the kernel, in the forward pass and for the kernel's gradient.
     """
-    if x.data.ndim != 2:
-        raise DimensionError(f"conv1d expects a 2-d input, got {x.data.ndim}-d")
+    if x.data.ndim < 2:
+        raise DimensionError(f"conv1d expects a 2-d input or a batch of them, got {x.data.ndim}-d")
     if kernel.data.ndim != 3:
         raise DimensionError(f"conv1d expects a 3-d kernel, got {kernel.data.ndim}-d")
     k, c_in, c_out = kernel.data.shape
-    if x.data.shape[1] != c_in:
+    length_axis = x.data.ndim - 2
+    if x.data.shape[-1] != c_in:
         raise DimensionError(
-            f"conv1d: input channels (axis 1) = {x.data.shape[1]} but kernel expects {c_in}"
+            f"conv1d: input channels (axis {length_axis + 1}) = {x.data.shape[-1]} but kernel expects {c_in}"
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(
             f"conv1d: bias shape {bias.data.shape} does not match filter count {c_out}"
         )
-    length = x.data.shape[0]
+    lead = x.data.shape[:-2]
+    length = x.data.shape[-2]
     pad_left, pad_right = _conv_padding(k, padding)
-    out_len = length + pad_left + pad_right - k + 1
+    padded_len = length + pad_left + pad_right
+    out_len = padded_len - k + 1
     if out_len < 1:
         raise DimensionError(
-            f"conv1d: kernel width {k} exceeds padded length {length + pad_left + pad_right} (axis 0)"
+            f"conv1d: kernel width {k} exceeds padded length {padded_len} (axis {length_axis})"
         )
 
+    seqs = x.data.reshape(-1, length, c_in)
     if pad_left or pad_right:
-        padded = np.zeros((length + pad_left + pad_right, c_in))
-        padded[pad_left:pad_left + length] = x.data
+        padded = np.zeros((seqs.shape[0], padded_len, c_in))
+        padded[:, pad_left:pad_left + length] = seqs
     else:
-        padded = x.data
-    cols = np.empty((out_len, k * c_in))
+        padded = seqs
+    cols = np.empty((seqs.shape[0], out_len, k * c_in))
     for j in range(k):
-        cols[:, j * c_in:(j + 1) * c_in] = padded[j:j + out_len]
+        cols[:, :, j * c_in:(j + 1) * c_in] = padded[:, j:j + out_len]
+    cols = _rows(cols)
     w2d = kernel.data.reshape(k * c_in, c_out)
-    out = cols @ w2d + bias.data
+    out = (cols @ w2d + bias.data).reshape(lead + (out_len, c_out))
 
     def bw(g):
-        _accumulate(kernel, (cols.T @ g).reshape(kernel.data.shape))
-        _accumulate(bias, g.sum(axis=0))
+        g2 = _rows(g)
+        _accumulate(kernel, (cols.T @ g2).reshape(kernel.data.shape))
+        _accumulate(bias, g2.sum(axis=0))
         if x.requires_grad:
-            dcols = g @ w2d.T
+            dcols = (g2 @ w2d.T).reshape(-1, out_len, k * c_in)
             dpadded = np.zeros_like(padded)
             for j in range(k):
-                dpadded[j:j + out_len] += dcols[:, j * c_in:(j + 1) * c_in]
-            if pad_left or pad_right:
-                _accumulate(x, dpadded[pad_left:pad_left + length])
-            else:
-                _accumulate(x, dpadded)
+                dpadded[:, j:j + out_len] += dcols[:, :, j * c_in:(j + 1) * c_in]
+            _accumulate(x, dpadded[:, pad_left:pad_left + length].reshape(x.data.shape))
 
     return _node(out, (x, kernel, bias), bw)
 

@@ -339,6 +339,22 @@ def _gradcheck_ops(seed):
     c22 = probe(2, 2)
     check("conv1d_same", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="same"), c42)), x45)
     check("conv1d_valid", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="valid"), c22)), x45)
+
+    # leading batch axes: each op maps every [4, 5] slice of a [2, 4, 5] batch
+    x245 = rng.normal(size=(2, 4, 5))
+    b245 = probe(2, 4, 5)
+    b242 = probe(2, 4, 2)
+    b222 = probe(2, 2, 2)
+    check("batched.conv1d_same",
+          lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="same"), b242)), x245)
+    check("batched.conv1d_valid",
+          lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="valid"), b222)), x245)
+    check("batched.layer_norm", lambda t: _scalarize(ad.mul(ad.layer_norm(t, gain, shift), b245)), x245)
+    check("batched.softmax", lambda t: _scalarize(ad.mul(ad.softmax(t), b245)), x245)
+    b254 = probe(2, 5, 4)
+    check("batched.transpose", lambda t: _scalarize(ad.mul(ad.transpose(t), b254)), x245)
+    b25 = probe(2, 5)
+    check("batched.global_avg_pool", lambda t: _scalarize(ad.mul(ad.global_avg_pool(t), b25)), x245)
     return results
 
 
@@ -432,11 +448,13 @@ def _gradcheck_model(seed):
     dims = _model_gradcheck_dims()
     params = build_variant(variant_config("full", branch="both"), dims, seed=seed)
     rng = np.random.default_rng(seed)
-    pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, dims.coords)))
-    features = ad.Tensor(rng.normal(size=(dims.frames, dims.rgb_width)))
+    # a batch of two clips with different labels, so the check covers the batch axis
+    pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, dims.coords)))
+    features = ad.Tensor(rng.normal(size=(2, dims.frames, dims.rgb_width)))
+    labels = np.array([1, 2])
 
     def loss_fn(_):
-        return cross_entropy(forward(params, pose=pose, features=features), 1)
+        return cross_entropy(forward(params, pose=pose, features=features), labels)
 
     return [(name, ad.gradient_check(loss_fn, tensor)) for name, tensor in params.named_parameters()]
 

@@ -252,7 +252,10 @@ def build_variant(ablation, dims, seed=0):
 
 
 def pose_branch(pose, params):
-    """Two encoder streams, time-axis fusion, optional attention, bi-LSTM."""
+    """Two encoder streams, time-axis fusion, optional attention, bi-LSTM.
+
+    pose is [T, J, D] or a batch [B, T, J, D]; the result is [(B,) T', 2H].
+    """
     if params.pose is None:
         raise ContractError("model has no pose branch")
     branch = params.pose
@@ -275,17 +278,22 @@ def pose_branch(pose, params):
 
 
 def rgb_branch(features, params, attention_only=False):
-    """Optional attention over per-frame features, then bi-LSTM."""
+    """Optional attention over per-frame features, then bi-LSTM.
+
+    features is [T, W] or a batch [B, T, W]; the result is [(B,) T, 2H].
+    """
     if params.rgb is None:
         raise ContractError("model has no RGB branch")
-    if features.data.ndim != 2 or features.data.shape[1] != params.dims.rgb_width:
+    axis = features.data.ndim - 1
+    if features.data.ndim < 2 or features.data.shape[-1] != params.dims.rgb_width:
         raise DimensionError(
             f"feature width {features.data.shape[-1]} does not match "
-            f"configured width {params.dims.rgb_width} (axis 1)"
+            f"configured width {params.dims.rgb_width} (axis {axis})"
         )
-    if features.data.shape[0] != params.dims.frames:
+    if features.data.shape[-2] != params.dims.frames:
         raise DimensionError(
-            f"feature sequence has {features.data.shape[0]} frames, expected {params.dims.frames} (axis 0)"
+            f"feature sequence has {features.data.shape[-2]} frames, "
+            f"expected {params.dims.frames} (axis {axis - 1})"
         )
     x = features
     if params.rgb.attention is not None:
@@ -296,22 +304,29 @@ def rgb_branch(features, params, attention_only=False):
 
 
 def late_fuse_and_classify(pose_out, rgb_out, params):
-    """Fuse branch sequences, pool over time, classify; returns probabilities."""
+    """Fuse branch sequences, pool over time, classify; returns probabilities.
+
+    Branch outputs are [T', 2H] or batches [B, T', 2H]; the result is [C] or [B, C].
+    """
     outs = [o for o in (pose_out, rgb_out) if o is not None]
     if not outs:
         raise ContractError("no branch outputs to classify")
     if params.dims.fusion == "feature" and len(outs) == 2:
-        pooled = ad.concat([ad.global_avg_pool(o) for o in outs], axis=0)
+        pooled = ad.concat([ad.global_avg_pool(o) for o in outs], axis=-1)
     else:
-        fused = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+        fused = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)
         pooled = ad.global_avg_pool(fused)
-    row = ad.reshape(pooled, (1, pooled.data.shape[0]))
-    logits = ad.dense(row, params.classifier_w, params.classifier_b)
-    return ad.reshape(ad.softmax(logits), (params.dims.num_classes,))
+    rows = ad.reshape(pooled, (-1, pooled.data.shape[-1]))
+    logits = ad.dense(rows, params.classifier_w, params.classifier_b)
+    return ad.reshape(ad.softmax(logits), pooled.data.shape[:-1] + (params.dims.num_classes,))
 
 
 def forward(params, pose=None, features=None):
-    """Full variant forward to class probabilities for one sample."""
+    """Full variant forward to class probabilities: [C] for one sample, [B, C] for a batch.
+
+    pose is [T, J, D] or [B, T, J, D] and features [T, W] or [B, T, W]; with
+    both branches, both inputs have the same leading axes.
+    """
     pose_out = None
     rgb_out = None
     if params.pose is not None:

@@ -3,8 +3,9 @@
 The spatial encoder maps each frame's joints through a shared conv stack;
 the temporal encoder runs convolutions along the joint-trajectory axis with
 the time samples as channels and then transposes, so its filter count
-becomes the sequence's new leading (learned-temporal) axis. Both feed a
+becomes the sequence's new row (learned-temporal) axis. Both feed a
 three-layer post stack with a residual connection and layer normalization.
+Every function takes one clip or a batch: leading axes are batch.
 """
 
 from __future__ import annotations
@@ -121,38 +122,37 @@ def apply_conv_stack(x, layers, activations, padding="same"):
 
 
 def _check_pose(pose):
-    if pose.data.ndim != 3:
-        raise DimensionError(f"pose tensor must be 3-d [T, J, D], got {pose.data.ndim}-d")
+    if pose.data.ndim < 3:
+        raise DimensionError(
+            f"pose tensor must be 3-d [T, J, D] or a batch [..., T, J, D], got {pose.data.ndim}-d"
+        )
+
+
+def _frames_as_rows(pose):
+    """[..., T, J, D] -> [..., T, J*D]: each frame's joints flattened into one row."""
+    *lead, t_len, joints, coords = pose.data.shape
+    return ad.reshape(pose, (*lead, t_len, joints * coords))
 
 
 def seu_encode(pose, layers, activations=("relu", "relu", "linear")):
-    """Per-frame conv over the joint axis; frames stacked back as rows [T, J*F]."""
+    """Per-frame conv over the joint axis; frames stacked back as rows [..., T, J*F].
+
+    Frames are batch rows of the convolution, so no frame sees another.
+    """
     _check_pose(pose)
-    t_len, joints, coords = pose.data.shape
-    if all(conv.kernel.data.shape[0] == 1 for conv in layers):
-        # width-1 kernels act on each joint row independently, so every frame
-        # can run through one fused pass without changing any value
-        flat = ad.reshape(pose, (t_len * joints, coords))
-        encoded = apply_conv_stack(flat, layers, activations)
-        return ad.reshape(encoded, (t_len, joints * encoded.data.shape[1]))
-    rows = []
-    as_rows = ad.reshape(pose, (t_len, joints * coords))
-    for t in range(t_len):
-        frame = ad.reshape(ad.slice_rows(as_rows, t, t + 1), (joints, coords))
-        encoded = apply_conv_stack(frame, layers, activations)
-        rows.append(ad.reshape(encoded, (1, joints * encoded.data.shape[1])))
-    return ad.concat(rows, axis=0)
+    encoded = apply_conv_stack(pose, layers, activations)
+    *lead, t_len, joints, filters = encoded.data.shape
+    return ad.reshape(encoded, (*lead, t_len, joints * filters))
 
 
 def teu_encode(pose, layers, activations=("relu", "relu", "linear"), padding="same"):
     """Conv along the trajectory axis with time samples as channels, then transpose.
 
-    [T, J, D] -> trajectories [J*D, T] -> conv stack -> [J*D, F] -> [F, J*D],
-    so the learned filter axis replaces time as the leading axis.
+    [..., T, J, D] -> trajectories [..., J*D, T] -> conv stack -> [..., J*D, F]
+    -> [..., F, J*D], so the learned filter axis replaces time as the row axis.
     """
     _check_pose(pose)
-    t_len, joints, coords = pose.data.shape
-    trajectories = ad.transpose(ad.reshape(pose, (t_len, joints * coords)))
+    trajectories = ad.transpose(_frames_as_rows(pose))
     encoded = apply_conv_stack(trajectories, layers, activations, padding=padding)
     return ad.transpose(encoded)
 
@@ -160,8 +160,7 @@ def teu_encode(pose, layers, activations=("relu", "relu", "linear"), padding="sa
 def plain_encode(pose, layers, activations=("relu", "relu", "linear")):
     """Baseline stream input: convs straight over time on raw flattened coordinates."""
     _check_pose(pose)
-    t_len, joints, coords = pose.data.shape
-    return apply_conv_stack(ad.reshape(pose, (t_len, joints * coords)), layers, activations)
+    return apply_conv_stack(_frames_as_rows(pose), layers, activations)
 
 
 def stream_forward(encoded, params):
@@ -171,21 +170,22 @@ def stream_forward(encoded, params):
         residual = ad.conv1d(encoded, params.proj.kernel, params.proj.bias, padding="same")
     else:
         residual = encoded
-    if residual.data.shape[1] != post_out.data.shape[1]:
+    if residual.data.shape[-1] != post_out.data.shape[-1]:
         raise DimensionError(
-            f"residual channels {residual.data.shape[1]} do not match "
-            f"post-stack channels {post_out.data.shape[1]} (axis 1)"
+            f"residual channels {residual.data.shape[-1]} do not match "
+            f"post-stack channels {post_out.data.shape[-1]} (axis {post_out.data.ndim - 1})"
         )
     return ad.layer_norm(ad.add(post_out, residual), params.ln_gain, params.ln_shift)
 
 
 def fuse_pose_streams(spatial_out, temporal_out):
-    """Concatenate the two stream outputs along the time axis, spatial rows first."""
-    if spatial_out.data.ndim != 2 or temporal_out.data.ndim != 2:
-        raise DimensionError("fuse_pose_streams expects 2-d stream outputs")
-    if spatial_out.data.shape[1] != temporal_out.data.shape[1]:
+    """Concatenate the two stream outputs along the time axis (-2), spatial rows first."""
+    if spatial_out.data.ndim < 2 or temporal_out.data.ndim < 2:
+        raise DimensionError("fuse_pose_streams expects 2-d stream outputs or batches of them")
+    axis = spatial_out.data.ndim - 1
+    if spatial_out.data.shape[-1] != temporal_out.data.shape[-1]:
         raise DimensionError(
-            f"stream channel widths differ on axis 1 "
-            f"({spatial_out.data.shape[1]} vs {temporal_out.data.shape[1]})"
+            f"stream channel widths differ on axis {axis} "
+            f"({spatial_out.data.shape[-1]} vs {temporal_out.data.shape[-1]})"
         )
-    return ad.concat([spatial_out, temporal_out], axis=0)
+    return ad.concat([spatial_out, temporal_out], axis=-2)

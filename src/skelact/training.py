@@ -16,16 +16,27 @@ from .errors import ContractError
 from .model import forward, save_checkpoint
 
 DEFAULT_LR = {"adam": 1e-3, "sgd": 0.1}
+EVAL_CHUNK = 16  # clips per forward pass in evaluate()
 
 
 def cross_entropy(probs, label):
-    """-log(probs[label]) with the probability clamped at 1e-12."""
-    if probs.data.ndim != 1:
-        raise ContractError(f"cross_entropy expects a probability vector, got shape {probs.data.shape}")
-    label = int(label)
-    if not 0 <= label < probs.data.shape[0]:
-        raise ContractError(f"label {label} outside [0, {probs.data.shape[0]})")
-    return ad.scale(ad.log(ad.clamp_min(ad.pick(probs, label), 1e-12)), -1.0)
+    """-log(probs[label]) with the probability clamped at 1e-12.
+
+    For a batch, probs [B, C] and labels [B], the mean over the batch.
+    """
+    if probs.data.ndim not in (1, 2):
+        raise ContractError(
+            f"cross_entropy expects a probability vector or a batch of them, got shape {probs.data.shape}"
+        )
+    labels = np.asarray(label)
+    if labels.shape != probs.data.shape[:-1]:
+        raise ContractError(f"{labels.size} labels for probabilities of shape {probs.data.shape}")
+    classes = probs.data.shape[-1]
+    for value in labels.reshape(-1):
+        if not 0 <= int(value) < classes:
+            raise ContractError(f"label {int(value)} outside [0, {classes})")
+    log_probs = ad.log(ad.clamp_min(ad.pick(probs, labels), 1e-12))
+    return ad.scale(ad.sum_all(log_probs), -1.0 / labels.size)
 
 
 @dataclass
@@ -120,29 +131,47 @@ def make_optimizer(params, config):
 # loops
 
 
-def _sample_forward(params, sample):
-    pose = None
-    features = None
+def _check_clips(params, dataset, indices):
+    """Every clip at `indices` has each input the model's branches need, at its shape."""
+    dims = params.dims
+    needs = []
     if params.pose is not None:
-        if sample.pose is None:
-            raise ContractError("dataset sample lacks skeleton data required by the pose branch")
-        pose = ad.Tensor(sample.pose)
+        needs.append(("pose", "skeleton data", "pose", (dims.frames, dims.joints, dims.coords)))
     if params.rgb is not None:
-        if sample.features is None:
-            raise ContractError("dataset sample lacks RGB features required by the RGB branch")
-        features = ad.Tensor(sample.features)
-    return forward(params, pose=pose, features=features)
+        needs.append(("features", "RGB features", "RGB", (dims.frames, dims.rgb_width)))
+    for idx in indices:
+        for field, what, branch, expected in needs:
+            value = getattr(dataset[idx], field)
+            if value is None:
+                raise ContractError(f"dataset sample {idx} lacks {what} required by the {branch} branch")
+            if value.shape != expected:
+                raise ContractError(
+                    f"dataset sample {idx}: {field} shape {value.shape} does not match model dims {expected}"
+                )
 
 
-def _split_metrics(params, dataset, indices):
+def _batch_forward(params, dataset, indices):
+    """Class probabilities [B, C] and labels [B] for the clips at `indices`, stacked once."""
+    samples = [dataset[idx] for idx in indices]
+    pose = features = None
+    if params.pose is not None:
+        pose = ad.Tensor(np.stack([s.pose for s in samples]))
+    if params.rgb is not None:
+        features = ad.Tensor(np.stack([s.features for s in samples]))
+    labels = np.array([s.label for s in samples])
+    return forward(params, pose=pose, features=features), labels
+
+
+def _split_metrics(params, dataset, indices, batch_size):
+    _check_clips(params, dataset, indices)
     losses = 0.0
     correct = 0
     with ad.no_grad():
-        for idx in indices:
-            sample = dataset[idx]
-            probs = _sample_forward(params, sample)
-            losses += float(cross_entropy(probs, sample.label).data)
-            correct += int(np.argmax(probs.data)) == sample.label
+        for start in range(0, len(indices), batch_size):
+            chunk = indices[start:start + batch_size]
+            probs, labels = _batch_forward(params, dataset, chunk)
+            losses += float(cross_entropy(probs, labels).data) * len(chunk)
+            correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
     n = max(1, len(indices))
     return losses / n, 100.0 * correct / n
 
@@ -169,6 +198,7 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     val_idx = order[:val_count]
     train_idx = order[val_count:]
 
+    _check_clips(params, dataset, range(len(dataset)))
     optimizer = make_optimizer(params, config)
     records = []
     best = None  # (accuracy, epoch, saved tensor data)
@@ -179,14 +209,11 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
         for start in range(0, len(epoch_order), config.batch_size):
             batch = epoch_order[start:start + config.batch_size]
             optimizer.zero_grad()
-            inv = 1.0 / len(batch)
-            for idx in batch:
-                sample = dataset[idx]
-                probs = _sample_forward(params, sample)
-                loss = cross_entropy(probs, sample.label)
-                epoch_loss += float(loss.data)
-                epoch_correct += int(np.argmax(probs.data)) == sample.label
-                ad.backward(ad.scale(loss, inv))
+            probs, labels = _batch_forward(params, dataset, batch)
+            loss = cross_entropy(probs, labels)
+            epoch_loss += float(loss.data) * len(batch)
+            epoch_correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
+            ad.backward(loss)
             optimizer.step()
         record = {
             "epoch": epoch,
@@ -198,7 +225,7 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
         if log_fn:
             log_fn(format_record(record))
         if len(val_idx):
-            val_loss, val_acc = _split_metrics(params, dataset, val_idx)
+            val_loss, val_acc = _split_metrics(params, dataset, val_idx, config.batch_size)
             record = {"epoch": epoch, "split": "val", "loss": val_loss, "accuracy": val_acc}
             records.append(record)
             if log_fn:
@@ -223,19 +250,15 @@ def evaluate(dataset, params):
     if not dataset:
         raise ContractError("evaluation dataset is empty")
     classes = params.dims.num_classes
-    sample = dataset[0]
-    if params.pose is not None and sample.pose is not None:
-        expected = (params.dims.frames, params.dims.joints, params.dims.coords)
-        if sample.pose.shape != expected:
-            raise ContractError(
-                f"dataset pose shape {sample.pose.shape} does not match model dims {expected}"
-            )
+    _check_clips(params, dataset, range(len(dataset)))
+    for item in dataset:
+        if not 0 <= item.label < classes:
+            raise ContractError(f"label {item.label} outside model's {classes} classes")
     confusion = np.zeros((classes, classes), dtype=np.int64)
     with ad.no_grad():
-        for item in dataset:
-            if not 0 <= item.label < classes:
-                raise ContractError(f"label {item.label} outside model's {classes} classes")
-            probs = _sample_forward(params, item)
-            confusion[item.label, int(np.argmax(probs.data))] += 1
+        for start in range(0, len(dataset), EVAL_CHUNK):
+            chunk = range(start, min(start + EVAL_CHUNK, len(dataset)))
+            probs, labels = _batch_forward(params, dataset, chunk)
+            np.add.at(confusion, (labels, np.argmax(probs.data, axis=-1)), 1)
     accuracy = 100.0 * np.trace(confusion) / len(dataset)
     return accuracy, confusion

@@ -91,7 +91,7 @@ def test_seu_matches_per_frame_oracle():
 
 
 def test_seu_wide_kernel_path_matches_oracle():
-    # kernel width > 1 exercises the per-frame loop rather than the fused pass
+    # kernel width > 1 mixes neighbouring joints, but never neighbouring frames
     rng = np.random.default_rng(4)
     layers = init_conv_stack(rng, 2, (3, 3, 4), (3, 1, 2))
     pose = rng.normal(size=(3, 6, 2))

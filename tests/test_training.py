@@ -12,6 +12,7 @@ from skelact.training import (
     Adam,
     Sgd,
     TrainConfig,
+    _split_metrics,
     cross_entropy,
     evaluate,
     format_record,
@@ -264,17 +265,14 @@ def test_loss_decreases_over_first_five_full_batch_steps():
     params = tiny_model()
     opt = Adam(params.tensors(), lr=1e-3, l2_lambda=0.0, lr_decay=0.0)
     losses = []
-    from skelact.training import _sample_forward
+    from skelact.training import _batch_forward
 
     for _ in range(5):
         opt.zero_grad()
-        total = 0.0
-        inv = 1.0 / len(dataset)
-        for sample in dataset:
-            loss = cross_entropy(_sample_forward(params, sample), sample.label)
-            total += float(loss.data)
-            ad.backward(ad.scale(loss, inv))
-        losses.append(total / len(dataset))
+        probs, labels = _batch_forward(params, dataset, range(len(dataset)))
+        loss = cross_entropy(probs, labels)
+        ad.backward(loss)
+        losses.append(float(loss.data))
         opt.step()
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -359,6 +357,17 @@ def test_evaluate_shape_mismatch_rejected():
     params = tiny_model(joints=4)
     with pytest.raises(ContractError, match="shape"):
         evaluate(dataset, params)
+
+
+def test_every_clip_shape_checked_before_stacking():
+    dataset = tiny_dataset()[:4] + tiny_dataset(joints=5)[:1]
+    params = tiny_model()
+    with pytest.raises(ContractError, match="sample 4: pose shape"):
+        evaluate(dataset, params)
+    with pytest.raises(ContractError, match="sample 4: pose shape"):
+        _split_metrics(params, dataset, np.arange(5), 2)
+    with pytest.raises(ContractError, match="sample 4: pose shape"):
+        train(dataset, params, TrainConfig(epochs=1, val_fraction=0.0))
 
 
 def test_evaluate_label_out_of_range_rejected():
