@@ -1,9 +1,10 @@
 """Scaled dot-product attention and multi-head self-attention.
 
-The default dimensioning keeps every head's projections square (D by D) and
-maps the concatenated heads (width h*D) back to D with a single output
-matrix. A `split_heads` switch narrows each head to D/h instead, the more
-common convention. Both use d_k = D/h as the softmax scale.
+The projections are stacked: W_q, W_k and W_v are [D, h*w] with head i in
+column block i, and W_o maps the concatenated heads [h*w] back to D. The
+default keeps every head square (w = D); a `split_heads` switch narrows each
+head to w = D/h instead, the more common convention. Both use d_k = D/h as
+the softmax scale.
 """
 
 from __future__ import annotations
@@ -20,47 +21,41 @@ from .errors import ContractError, DimensionError
 class AttentionParams:
     heads: int
     model_dim: int
-    w_q: list
-    w_k: list
-    w_v: list
-    w_o: "ad.Tensor"
-    split_heads: bool = False
-    tied: bool = False
+    w_q: "ad.Tensor"  # [D, h*w], head i in columns i*w:(i+1)*w
+    w_k: "ad.Tensor"  # [D, h*w]
+    w_v: "ad.Tensor"  # [D, h*w]
+    w_o: "ad.Tensor"  # [h*w, D]
 
     @property
     def scale(self):
         return self.model_dim / self.heads
 
+    @property
+    def head_width(self):
+        return self.w_q.data.shape[1] // self.heads
+
     def named(self):
-        """Yield (name, tensor) pairs, each underlying tensor exactly once."""
-        for i in range(self.heads):
-            yield f"wq{i}", self.w_q[i]
-            if not self.tied:
-                yield f"wk{i}", self.w_k[i]
-                yield f"wv{i}", self.w_v[i]
+        yield "wq", self.w_q
+        yield "wk", self.w_k
+        yield "wv", self.w_v
         yield "wo", self.w_o
 
 
-def init_attention_params(rng, model_dim, heads=4, split_heads=False, tie_projections=False):
+def init_attention_params(rng, model_dim, heads=4, split_heads=False):
     if heads < 1:
         raise ContractError(f"attention needs at least one head, got {heads}")
     if model_dim % heads != 0:
         raise ContractError(f"heads ({heads}) must divide model_dim ({model_dim})")
-    head_width = model_dim // heads if split_heads else model_dim
-    w_q, w_k, w_v = [], [], []
-    for _ in range(heads):
-        q = ad.glorot_uniform(rng, (model_dim, head_width), model_dim, head_width)
-        if tie_projections:
-            k = v = q
-        else:
-            k = ad.glorot_uniform(rng, (model_dim, head_width), model_dim, head_width)
-            v = ad.glorot_uniform(rng, (model_dim, head_width), model_dim, head_width)
-        w_q.append(q)
-        w_k.append(k)
-        w_v.append(v)
-    w_o = ad.glorot_uniform(rng, (heads * head_width, model_dim), heads * head_width, model_dim)
-    return AttentionParams(heads, model_dim, w_q, w_k, w_v, w_o,
-                           split_heads=split_heads, tied=tie_projections)
+    w = model_dim // heads if split_heads else model_dim
+    stacked = [np.empty((model_dim, heads * w)) for _ in range(3)]
+    # draw order q_0, k_0, v_0, q_1, ...; each block goes straight into its
+    # columns, so building a wide layer holds no second copy of its weights
+    for i in range(heads):
+        for projection in stacked:
+            projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w), model_dim, w).data
+    w_q, w_k, w_v = (ad.Tensor(projection, requires_grad=True) for projection in stacked)
+    w_o = ad.glorot_uniform(rng, (heads * w, model_dim), heads * w, model_dim)
+    return AttentionParams(heads, model_dim, w_q, w_k, w_v, w_o)
 
 
 def scaled_dot_attention(q, k, v, d_k, return_weights=False):
@@ -84,10 +79,11 @@ def scaled_dot_attention(q, k, v, d_k, return_weights=False):
 
 
 def multi_head_self_attention(x, params, return_weights=False):
-    """Self-attention (Q = K = V = x) with per-head projections, concat, W_o.
+    """Self-attention (Q = K = V = x) with stacked head projections, then W_o.
 
-    x is [T, D] or a batch [..., T, D]: the projections are one GEMM over all
-    rows, and Q K^T and the weighted sum are batched matrix products.
+    x is [T, D] or a batch [..., T, D]. Each projection is one GEMM over all
+    rows; its [..., T, h*w] result is split into heads [..., h, T, w], which
+    attend as one batch. With return_weights the weights are [..., h, T, T].
     """
     if x.data.ndim < 2:
         raise DimensionError(
@@ -98,17 +94,17 @@ def multi_head_self_attention(x, params, return_weights=False):
             f"input width {x.data.shape[-1]} does not match model_dim {params.model_dim} "
             f"(axis {x.data.ndim - 1})"
         )
-    head_outs = []
-    all_weights = []
-    for i in range(params.heads):
-        q = ad.matmul(x, params.w_q[i])
-        k = ad.matmul(x, params.w_k[i])
-        v = ad.matmul(x, params.w_v[i])
-        out, w = scaled_dot_attention(q, k, v, params.scale, return_weights=True)
-        head_outs.append(out)
-        all_weights.append(w)
-    stacked = head_outs[0] if len(head_outs) == 1 else ad.concat(head_outs, axis=-1)
-    projected = ad.matmul(stacked, params.w_o)
+    rows = x.data.shape[:-1]
+    by_head = rows + (params.heads, params.head_width)
+
+    def split(w):
+        return ad.transpose(ad.reshape(ad.matmul(x, w), by_head), -3, -2)
+
+    out, weights = scaled_dot_attention(
+        split(params.w_q), split(params.w_k), split(params.w_v), params.scale, return_weights=True
+    )
+    merged = ad.reshape(ad.transpose(out, -3, -2), rows + (params.w_o.data.shape[0],))
+    projected = ad.matmul(merged, params.w_o)
     if return_weights:
-        return projected, all_weights
+        return projected, weights
     return projected

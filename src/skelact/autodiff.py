@@ -51,9 +51,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 
@@ -129,11 +126,6 @@ def backward(loss):
         node._parents = ()
 
 
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
-
-
 def _check_same_shape(a, b, op):
     if a.data.shape != b.data.shape:
         for axis, (da, db) in enumerate(zip(a.data.shape, b.data.shape)):
@@ -173,8 +165,13 @@ def relu(x):
     return _node(np.maximum(x.data, 0.0), (x,), bw)
 
 
+def stable_sigmoid(z):
+    """Logistic function of an array, as (1 + tanh(z/2)) / 2: no overflow at any z."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 def sigmoid(x):
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = stable_sigmoid(x.data)
 
     def bw(g):
         _accumulate(x, g * s * (1.0 - s))
@@ -230,15 +227,18 @@ def reshape(x, shape):
     return _node(x.data.reshape(shape), (x,), bw)
 
 
-def transpose(x):
-    """Swap the last two axes; any leading axes are batch."""
+def transpose(x, axis1=-2, axis2=-1):
+    """Swap two axes, by default the last two (any leading axes are batch)."""
     if x.data.ndim < 2:
         raise DimensionError(f"transpose expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
+    for axis in (axis1, axis2):
+        if not -x.data.ndim <= axis < x.data.ndim:
+            raise DimensionError(f"transpose: axis {axis} out of range for a {x.data.ndim}-d tensor")
 
     def bw(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
+        _accumulate(x, np.swapaxes(g, axis1, axis2))
 
-    return _node(np.swapaxes(x.data, -1, -2).copy(), (x,), bw)
+    return _node(np.swapaxes(x.data, axis1, axis2).copy(), (x,), bw)
 
 
 def slice_rows(x, start, stop):

@@ -263,7 +263,7 @@ def cmd_inspect(args):
     print(
         f"dims: frames={d.frames} joints={d.joints} coords={d.coords} "
         f"channel_dim={d.stream.channel_dim} hidden={d.hidden} heads={d.heads} "
-        f"classes={d.num_classes} rgb_width={d.rgb_width} fusion={d.fusion}"
+        f"classes={d.num_classes} rgb_width={d.rgb_width}"
     )
     groups = {}
     for name, tensor in params.named_parameters():
@@ -353,6 +353,9 @@ def _gradcheck_ops(seed):
     check("batched.softmax", lambda t: _scalarize(ad.mul(ad.softmax(t), b245)), x245)
     b254 = probe(2, 5, 4)
     check("batched.transpose", lambda t: _scalarize(ad.mul(ad.transpose(t), b254)), x245)
+    b425 = probe(4, 2, 5)
+    check("batched.transpose_heads",
+          lambda t: _scalarize(ad.mul(ad.transpose(t, -3, -2), b425)), x245)
     b25 = probe(2, 5)
     check("batched.global_avg_pool", lambda t: _scalarize(ad.mul(ad.global_avg_pool(t), b25)), x245)
     return results

@@ -1,4 +1,4 @@
-"""Network assembly: pose branch, RGB branch, late fusion, ablation variants.
+"""Network assembly: pose branch, RGB branch, late fusing of the two, ablation variants.
 
 Every component draws its initial weights from its own seeded stream, so
 toggling one ablation flag never shifts the initialization of the others;
@@ -9,6 +9,7 @@ an extra module enabled keeps all shared parameters equal.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -46,6 +47,9 @@ class AblationConfig:
     branch: str = "pose"
 
     def __post_init__(self):
+        for name in ("use_seu", "use_teu", "use_attention"):
+            if not isinstance(getattr(self, name), bool):
+                raise ContractError(f"AblationConfig.{name} must be a bool, got {getattr(self, name)!r}")
         if self.branch not in ("pose", "rgb", "both"):
             raise ContractError(f"branch must be pose, rgb, or both, got {self.branch!r}")
 
@@ -68,17 +72,20 @@ class ModelDims:
     heads: int = 4
     stream: StreamConfig = field(default_factory=StreamConfig)
     attention_split_heads: bool = False
-    attention_tied: bool = False
-    fusion: str = "time"
 
     def __post_init__(self):
         if isinstance(self.stream, dict):
             self.stream = StreamConfig(**self.stream)
-        if self.fusion not in ("time", "feature"):
-            raise ContractError(f"fusion must be 'time' or 'feature', got {self.fusion!r}")
+        if not isinstance(self.stream, StreamConfig):
+            raise ContractError(f"ModelDims.stream must be a StreamConfig or a dict, got {self.stream!r}")
+        if not isinstance(self.attention_split_heads, bool):
+            raise ContractError(
+                f"ModelDims.attention_split_heads must be a bool, got {self.attention_split_heads!r}"
+            )
         for name in ("frames", "joints", "coords", "rgb_width", "hidden", "num_classes", "heads"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"ModelDims.{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ContractError(f"ModelDims.{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -206,7 +213,6 @@ def build_variant(ablation, dims, seed=0):
                 cfg.channel_dim,
                 heads=dims.heads,
                 split_heads=dims.attention_split_heads,
-                tie_projections=dims.attention_tied,
             )
         lstm_rng = _component_rng(seed, "pose.lstm")
         pose = PoseBranchParams(
@@ -226,7 +232,6 @@ def build_variant(ablation, dims, seed=0):
                 dims.rgb_width,
                 heads=dims.heads,
                 split_heads=dims.attention_split_heads,
-                tie_projections=dims.attention_tied,
             )
         lstm_rng = _component_rng(seed, "rgb.lstm")
         rgb = RgbBranchParams(
@@ -235,10 +240,7 @@ def build_variant(ablation, dims, seed=0):
             init_lstm_params(lstm_rng, dims.rgb_width, dims.hidden),
         )
 
-    branches = (pose is not None) + (rgb is not None)
     fused_width = 2 * dims.hidden
-    if dims.fusion == "feature" and branches == 2:
-        fused_width = 4 * dims.hidden
     head_rng = _component_rng(seed, "classifier")
     classifier_w = ad.glorot_uniform(
         head_rng, (fused_width, dims.num_classes), fused_width, dims.num_classes
@@ -252,7 +254,7 @@ def build_variant(ablation, dims, seed=0):
 
 
 def pose_branch(pose, params):
-    """Two encoder streams, time-axis fusion, optional attention, bi-LSTM.
+    """Two encoder streams fused along the time axis, optional attention, bi-LSTM.
 
     pose is [T, J, D] or a batch [B, T, J, D]; the result is [(B,) T', 2H].
     """
@@ -277,7 +279,7 @@ def pose_branch(pose, params):
     return bilstm(fused, branch.lstm_fwd, branch.lstm_bwd)
 
 
-def rgb_branch(features, params, attention_only=False):
+def rgb_branch(features, params):
     """Optional attention over per-frame features, then bi-LSTM.
 
     features is [T, W] or a batch [B, T, W]; the result is [(B,) T, 2H].
@@ -298,8 +300,6 @@ def rgb_branch(features, params, attention_only=False):
     x = features
     if params.rgb.attention is not None:
         x = ad.add(x, multi_head_self_attention(x, params.rgb.attention))
-    if attention_only:
-        return x
     return bilstm(x, params.rgb.lstm_fwd, params.rgb.lstm_bwd)
 
 
@@ -311,11 +311,8 @@ def late_fuse_and_classify(pose_out, rgb_out, params):
     outs = [o for o in (pose_out, rgb_out) if o is not None]
     if not outs:
         raise ContractError("no branch outputs to classify")
-    if params.dims.fusion == "feature" and len(outs) == 2:
-        pooled = ad.concat([ad.global_avg_pool(o) for o in outs], axis=-1)
-    else:
-        fused = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)
-        pooled = ad.global_avg_pool(fused)
+    fused = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)
+    pooled = ad.global_avg_pool(fused)
     rows = ad.reshape(pooled, (-1, pooled.data.shape[-1]))
     logits = ad.dense(rows, params.classifier_w, params.classifier_b)
     return ad.reshape(ad.softmax(logits), pooled.data.shape[:-1] + (params.dims.num_classes,))
@@ -343,7 +340,8 @@ def forward(params, pose=None, features=None):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_CKPT_MAGIC = b"CKP1"
+_CKPT_MAGIC = b"CKP2"
+_MANIFEST_KEYS = {"ablation", "dims", "seed", "tensors"}
 
 
 def save_checkpoint(path, params):
@@ -366,7 +364,7 @@ def save_checkpoint(path, params):
 def load_checkpoint(path):
     blob = open(path, "rb").read()
     if blob[:4] != _CKPT_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0, expected CKP1")
+        raise ParseError(f"{path}: bad magic at byte offset 0, expected {_CKPT_MAGIC.decode()}")
     if len(blob) < 8:
         raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
     (manifest_len,) = struct.unpack("<I", blob[4:8])
@@ -376,20 +374,26 @@ def load_checkpoint(path):
         manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable manifest at byte offset 8 ({exc})") from None
-    ablation = AblationConfig(**manifest["ablation"])
-    dims = ModelDims(**manifest["dims"])
-    params = build_variant(ablation, dims, manifest["seed"])
+    try:
+        if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
+            raise ContractError(f"manifest must be an object with keys {sorted(_MANIFEST_KEYS)}")
+        entries = [(name, shape) for name, shape in manifest["tensors"]]
+        params = build_variant(
+            AblationConfig(**manifest["ablation"]), ModelDims(**manifest["dims"]), manifest["seed"]
+        )
+    except (TypeError, ValueError) as exc:  # ContractError and DimensionError included
+        raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
     tensors = dict(params.named_parameters())
     offset = 8 + manifest_len
-    for name, shape in manifest["tensors"]:
-        if name not in tensors:
+    for name, shape in entries:
+        if not isinstance(name, str) or name not in tensors:
             raise ParseError(f"{path}: manifest names unknown tensor {name!r}")
         tensor = tensors.pop(name)
         if list(tensor.data.shape) != shape:
             raise ParseError(
                 f"{path}: tensor {name!r} has shape {shape} in manifest, build expects {list(tensor.data.shape)}"
             )
-        count = int(np.prod(shape)) if shape else 1
+        count = tensor.data.size
         end = offset + count * 8
         if end > len(blob):
             raise ParseError(f"{path}: payload for {name!r} truncated at byte offset {len(blob)}")
@@ -397,7 +401,7 @@ def load_checkpoint(path):
         if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ParseError(f"{path}: non-finite value at byte offset {offset + bad * 8}")
-        tensor.data = values.reshape(shape).copy()
+        tensor.data = values.reshape(tensor.data.shape).copy()
         offset = end
     if tensors:
         raise ParseError(f"{path}: payload missing tensors {sorted(tensors)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _accumulate, _node
+from .autodiff import _accumulate, _node, stable_sigmoid
 from .errors import DimensionError
 
 
@@ -36,10 +36,6 @@ def init_lstm_params(rng, input_dim, hidden):
     bias = np.zeros(4 * hidden)
     bias[hidden:2 * hidden] = 1.0  # forget gate starts open
     return LstmParams(w_x, w_h, ad.Tensor(bias, requires_grad=True), hidden)
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def lstm_forward(seq, params):
@@ -76,9 +72,9 @@ def lstm_forward(seq, params):
     for t in range(t_len):
         z = zx[t] + h_prev @ w_h.data
         a = gates[t]
-        a[:, :2 * h] = _sigmoid(z[:, :2 * h])
+        a[:, :2 * h] = stable_sigmoid(z[:, :2 * h])
         a[:, 2 * h:3 * h] = np.tanh(z[:, 2 * h:3 * h])
-        a[:, 3 * h:] = _sigmoid(z[:, 3 * h:])
+        a[:, 3 * h:] = stable_sigmoid(z[:, 3 * h:])
         cells[t] = a[:, h:2 * h] * c_prev + a[:, :h] * a[:, 2 * h:3 * h]
         tanh_c[t] = np.tanh(cells[t])
         hidden_seq[t] = a[:, 3 * h:] * tanh_c[t]

@@ -73,10 +73,6 @@ class Sgd:
         self.decay = lr_decay
         self.steps = 0
 
-    def zero_grad(self):
-        for t in self.tensors:
-            t.grad = None
-
     def step(self):
         lr_t = self.lr / (1.0 + self.decay * self.steps)
         for t in self.tensors:
@@ -97,10 +93,6 @@ class Adam:
         self.steps = 0
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
-
-    def zero_grad(self):
-        for t in self.tensors:
-            t.grad = None
 
     def step(self):
         lr_t = self.lr / (1.0 + self.decay * self.steps)
@@ -208,7 +200,7 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
         epoch_correct = 0
         for start in range(0, len(epoch_order), config.batch_size):
             batch = epoch_order[start:start + config.batch_size]
-            optimizer.zero_grad()
+            params.zero_grads()
             probs, labels = _batch_forward(params, dataset, batch)
             loss = cross_entropy(probs, labels)
             epoch_loss += float(loss.data) * len(batch)

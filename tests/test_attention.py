@@ -18,12 +18,15 @@ def softmax_rows(x):
 
 
 def mha_oracle(x, params):
-    """Each head computed independently with plain numpy, then concatenated."""
+    """Each head (column block i of the stacked projections) computed independently
+    with plain numpy, then concatenated."""
     heads = []
-    for wq, wk, wv in zip(params.w_q, params.w_k, params.w_v):
-        q = x @ wq.data
-        k = x @ wk.data
-        v = x @ wv.data
+    w = params.head_width
+    for i in range(params.heads):
+        cols = slice(i * w, (i + 1) * w)
+        q = x @ params.w_q.data[:, cols]
+        k = x @ params.w_k.data[:, cols]
+        v = x @ params.w_v.data[:, cols]
         attn = softmax_rows(q @ k.T / np.sqrt(params.scale))
         heads.append(attn @ v)
     return np.concatenate(heads, axis=1) @ params.w_o.data
@@ -96,7 +99,7 @@ def test_single_head_identity_projections_reduce():
     d = 5
     x = ad.Tensor(rng.normal(size=(4, d)))
     eye = lambda: ad.Tensor(np.eye(d), requires_grad=True)
-    params = AttentionParams(1, d, [eye()], [eye()], [eye()], eye())
+    params = AttentionParams(1, d, eye(), eye(), eye(), eye())
     out = multi_head_self_attention(x, params)
     expect = scaled_dot_attention(x, x, x, float(d))
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
@@ -128,29 +131,57 @@ def test_matches_per_head_oracle():
 def test_split_heads_variant():
     rng = np.random.default_rng(7)
     params = random_params(rng, 8, 4, split_heads=True)
-    assert params.w_q[0].data.shape == (8, 2)
-    assert params.w_o.data.shape == (8, 8)
+    assert params.head_width == 2
+    for w in (params.w_q, params.w_k, params.w_v, params.w_o):
+        assert w.data.shape == (8, 8)
     x = rng.normal(size=(5, 8))
     out = multi_head_self_attention(ad.Tensor(x), params)
     assert out.data.shape == (5, 8)
     np.testing.assert_allclose(out.data, mha_oracle(x, params), atol=1e-10)
 
 
-def test_tied_projections_share_storage():
-    rng = np.random.default_rng(8)
-    params = random_params(rng, 6, 2, tie_projections=True)
-    for i in range(2):
-        assert params.w_k[i] is params.w_q[i]
-        assert params.w_v[i] is params.w_q[i]
-    names = [n for n, _ in params.named()]
-    assert names == ["wq0", "wq1", "wo"]
+def test_square_heads_stack_four_projections():
+    params = random_params(np.random.default_rng(8), 6, 2)
+    assert params.head_width == 6
+    assert [n for n, _ in params.named()] == ["wq", "wk", "wv", "wo"]
+    for w in (params.w_q, params.w_k, params.w_v):
+        assert w.data.shape == (6, 12)
+    assert params.w_o.data.shape == (12, 6)
 
-    # behaviour equals an untied parameter set with equal matrices
-    untied = AttentionParams(2, 6, params.w_q, list(params.w_q), list(params.w_q), params.w_o)
-    x = rng.normal(size=(4, 6))
-    a = multi_head_self_attention(ad.Tensor(x), params)
-    b = multi_head_self_attention(ad.Tensor(x), untied)
-    np.testing.assert_array_equal(a.data, b.data)
+
+@pytest.mark.parametrize("model_dim,heads,split", [(6, 2, False), (8, 4, True), (5, 1, False)])
+def test_stacked_columns_equal_per_head_draws(model_dim, heads, split):
+    """Head i's blocks are drawn q_i, k_i, v_i in turn, then W_o, each glorot-uniform."""
+    params = random_params(np.random.default_rng(21), model_dim, heads, split_heads=split)
+    rng = np.random.default_rng(21)
+    w = model_dim // heads if split else model_dim
+    limit = np.sqrt(6.0 / (model_dim + w))
+    for i in range(heads):
+        cols = slice(i * w, (i + 1) * w)
+        for stacked in (params.w_q, params.w_k, params.w_v):
+            block = rng.uniform(-limit, limit, size=(model_dim, w))
+            np.testing.assert_array_equal(stacked.data[:, cols], block)
+    limit_o = np.sqrt(6.0 / (heads * w + model_dim))
+    np.testing.assert_array_equal(
+        params.w_o.data, rng.uniform(-limit_o, limit_o, size=(heads * w, model_dim))
+    )
+
+
+def test_return_weights_stacks_heads():
+    rng = np.random.default_rng(22)
+    params = random_params(rng, 8, 4, split_heads=True)
+    x = rng.normal(size=(3, 5, 8))
+    out, weights = multi_head_self_attention(ad.Tensor(x), params, return_weights=True)
+    assert out.data.shape == (3, 5, 8)
+    assert weights.data.shape == (3, 4, 5, 5)
+    np.testing.assert_allclose(weights.data.sum(axis=-1), np.ones((3, 4, 5)), atol=1e-12)
+    w = params.head_width
+    for i in range(4):
+        cols = slice(i * w, (i + 1) * w)
+        q = x[1] @ params.w_q.data[:, cols]
+        k = x[1] @ params.w_k.data[:, cols]
+        expect = softmax_rows(q @ k.T / np.sqrt(params.scale))
+        np.testing.assert_allclose(weights.data[1, i], expect, atol=1e-12)
 
 
 def test_permutation_equivariance():
@@ -193,10 +224,8 @@ def test_gradients_pass_finite_differences():
         return f
 
     assert ad.gradient_check(loss_wrt(x, "x"), x) < 1e-4
-    for i in range(params.heads):
-        for w in (params.w_q[i], params.w_k[i], params.w_v[i]):
-            assert ad.gradient_check(loss_wrt(w, "w"), w) < 1e-4
-    assert ad.gradient_check(loss_wrt(params.w_o, "w"), params.w_o) < 1e-4
+    for _, w in params.named():
+        assert ad.gradient_check(loss_wrt(w, "w"), w) < 1e-4
 
 
 def test_init_is_seed_deterministic():

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 import skelact.autodiff as ad
+from skelact.attention import multi_head_self_attention
 from skelact.errors import ContractError, DimensionError, ParseError
 from skelact.model import (
     AblationConfig,
@@ -95,24 +99,6 @@ def test_late_fuse_time_axis_shapes():
     assert abs(probs.data.sum() - 1.0) < 1e-12
 
 
-def test_feature_fusion_widens_classifier():
-    time_params = build_variant(
-        variant_config("baseline", branch="both"), tiny_dims(), seed=0
-    )
-    feat_params = build_variant(
-        variant_config("baseline", branch="both"), tiny_dims(fusion="feature"), seed=0
-    )
-    assert time_params.classifier_w.data.shape == (4, 2)
-    assert feat_params.classifier_w.data.shape == (8, 2)
-    rng = np.random.default_rng(6)
-    dims = feat_params.dims
-    probs = forward(
-        feat_params, pose=random_pose(rng, dims), features=random_features(rng, dims)
-    )
-    assert probs.data.shape == (2,)
-    assert abs(probs.data.sum() - 1.0) < 1e-12
-
-
 def test_zero_classifier_gives_uniform_probabilities():
     dims = tiny_dims(num_classes=5)
     params = build_variant(variant_config("full"), dims, seed=7)
@@ -193,8 +179,14 @@ def test_rgb_attention_residual_is_permutation_equivariant():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(dims.frames, 8))
     perm = rng.permutation(dims.frames)
-    out = rgb_branch(ad.Tensor(x), params, attention_only=True).data
-    out_perm = rgb_branch(ad.Tensor(x[perm]), params, attention_only=True).data
+    attention = params.rgb.attention
+
+    def residual(rows):
+        t = ad.Tensor(rows)
+        return ad.add(t, multi_head_self_attention(t, attention)).data
+
+    out = residual(x)
+    out_perm = residual(x[perm])
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
 
 
@@ -309,6 +301,62 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_previous_format_rejected_at_offset_0(tmp_path):
+    params = build_variant(variant_config("full"), tiny_dims(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    assert blob[:4] == b"CKP2"
+    path.write_bytes(b"CKP1" + blob[4:])
+    with pytest.raises(ParseError, match="byte offset 0"):
+        load_checkpoint(path)
+
+
+def _rewrite_manifest(path, edit):
+    blob = path.read_bytes()
+    length = struct.unpack("<I", blob[4:8])[0]
+    manifest = edit(json.loads(blob[8:8 + length]))
+    text = json.dumps(manifest).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
+
+
+def _with_dims(manifest, **fields):
+    return {**manifest, "dims": {**manifest["dims"], **fields}}
+
+
+BAD_MANIFESTS = {
+    "list": lambda m: [m],
+    "string": lambda m: "manifest",
+    "no-ablation": lambda m: {k: v for k, v in m.items() if k != "ablation"},
+    "extra-key": lambda m: {**m, "extra": 1},
+    "bad-branch": lambda m: {**m, "ablation": {"branch": "hands"}},
+    "flag-string": lambda m: {**m, "ablation": {**m["ablation"], "use_seu": "false"}},
+    "split-heads-string": lambda m: _with_dims(m, attention_split_heads="no"),
+    "dims-tied-key": lambda m: _with_dims(m, attention_tied=False),
+    "dims-fusion-key": lambda m: _with_dims(m, fusion="time"),
+    "frames-string": lambda m: _with_dims(m, frames="x"),
+    "frames-float": lambda m: _with_dims(m, frames=2.5),
+    "frames-zero": lambda m: _with_dims(m, frames=0),
+    "stream-list": lambda m: _with_dims(m, stream=[1, 2]),
+    "stream-width-string": lambda m: _with_dims(m, stream={"channel_dim": "wide"}),
+    "seed-string": lambda m: {**m, "seed": "x"},
+    "seed-negative": lambda m: {**m, "seed": -1},
+    "tensor-entry-short": lambda m: {**m, "tensors": [["classifier.bias"]]},
+    "tensors-int": lambda m: {**m, "tensors": 7},
+    "tensor-name-list": lambda m: {**m, "tensors": [[["classifier", "bias"], [2]]]},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+def test_checkpoint_bad_manifest_is_parse_error(tmp_path, edit):
+    params = build_variant(variant_config("full", "both"), tiny_dims(), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    _rewrite_manifest(path, edit)
+    with pytest.raises(ParseError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_truncated(tmp_path):
     dims = tiny_dims()
     params = build_variant(variant_config("baseline"), dims, seed=0)
@@ -349,7 +397,9 @@ def test_dims_validation():
     with pytest.raises(ContractError):
         ModelDims(frames=0)
     with pytest.raises(ContractError):
-        ModelDims(fusion="early")
+        ModelDims(frames=2.5)
+    with pytest.raises(ContractError):
+        ModelDims(heads=True)
     dims = ModelDims(stream={"channel_dim": 120})
     assert isinstance(dims.stream, StreamConfig)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,18 @@ def test_outputs_bounded():
         seq = rng.normal(size=(6, 3)) * 50
         out = lstm_forward(ad.Tensor(seq), params)
         assert (np.abs(out.data) < 1.0).all()
+
+
+def test_saturated_gates_stay_finite_without_warnings():
+    rng = np.random.default_rng(23)
+    params = make_params(rng, 3, 2)
+    seq = ad.Tensor(1e4 * rng.normal(size=(6, 3)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lstm_forward(seq, params)
+        ad.backward(ad.sum_all(out))
+    assert np.isfinite(out.data).all() and np.abs(out.data).max() <= 1.0
+    assert np.isfinite(seq.grad).all()
 
 
 def test_forget_bias_initialized_to_one():

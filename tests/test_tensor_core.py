@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,25 @@ def test_elementwise_identities():
     np.testing.assert_allclose(ad.relu(ad.Tensor(np.array([-1.0, 2.0]))).data, [0.0, 2.0])
 
 
+def test_sigmoid_is_stable_and_matches_logistic():
+    z = np.linspace(-30.0, 30.0, 60001)
+    assert np.abs(ad.stable_sigmoid(z) - 1.0 / (1.0 + np.exp(-z))).max() < 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        extreme = ad.sigmoid(ad.Tensor(np.array([-1000.0, 1000.0]), requires_grad=True))
+        ad.backward(ad.sum_all(extreme))
+    np.testing.assert_array_equal(extreme.data, [0.0, 1.0])
+
+
+def test_transpose_swaps_named_axes():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    out = ad.transpose(ad.Tensor(x), -3, -2)
+    np.testing.assert_array_equal(out.data, np.swapaxes(x, 0, 1))
+    np.testing.assert_array_equal(ad.transpose(ad.Tensor(x)).data, np.swapaxes(x, 1, 2))
+    with pytest.raises(DimensionError, match="axis 3"):
+        ad.transpose(ad.Tensor(x), 0, 3)
+
+
 def test_elementwise_shape_mismatch():
     with pytest.raises(DimensionError, match="axis 1"):
         ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
@@ -363,8 +384,9 @@ def test_grad_accumulates_across_backward_calls():
     ad.backward(ad.sum_all(x))
     ad.backward(ad.sum_all(x))
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
-    x.zero_grad()
-    assert x.grad is None
+    x.grad = None
+    ad.backward(ad.sum_all(x))
+    np.testing.assert_array_equal(x.grad, np.ones(3))
 
 
 def test_no_grad_suppresses_graph():

@@ -268,7 +268,7 @@ def test_loss_decreases_over_first_five_full_batch_steps():
     from skelact.training import _batch_forward
 
     for _ in range(5):
-        opt.zero_grad()
+        params.zero_grads()
         probs, labels = _batch_forward(params, dataset, range(len(dataset)))
         loss = cross_entropy(probs, labels)
         ad.backward(loss)
