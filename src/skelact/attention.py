@@ -1,10 +1,8 @@
 """Scaled dot-product attention and multi-head self-attention.
 
-The projections are stacked: W_q, W_k and W_v are [D, h*w] with head i in
-column block i, and W_o maps the concatenated heads [h*w] back to D. The
-default keeps every head square (w = D); a `split_heads` switch narrows each
-head to w = D/h instead, the more common convention. Both use d_k = D/h as
-the softmax scale.
+Each of the h heads has width w = D/h (the d_k = D/h convention of Vaswani
+et al. 2017). The projections are stacked: W_q, W_k and W_v are [D, D] with
+head i in column block i, and W_o maps the concatenated heads back to D.
 """
 
 from __future__ import annotations
@@ -21,18 +19,14 @@ from .errors import ContractError, DimensionError
 class AttentionParams:
     heads: int
     model_dim: int
-    w_q: "ad.Tensor"  # [D, h*w], head i in columns i*w:(i+1)*w
-    w_k: "ad.Tensor"  # [D, h*w]
-    w_v: "ad.Tensor"  # [D, h*w]
-    w_o: "ad.Tensor"  # [h*w, D]
-
-    @property
-    def scale(self):
-        return self.model_dim / self.heads
+    w_q: "ad.Tensor"  # [D, D], head i in columns i*w:(i+1)*w
+    w_k: "ad.Tensor"  # [D, D]
+    w_v: "ad.Tensor"  # [D, D]
+    w_o: "ad.Tensor"  # [D, D]
 
     @property
     def head_width(self):
-        return self.w_q.data.shape[1] // self.heads
+        return self.model_dim // self.heads
 
     def named(self):
         yield "wq", self.w_q
@@ -41,20 +35,20 @@ class AttentionParams:
         yield "wo", self.w_o
 
 
-def init_attention_params(rng, model_dim, heads=4, split_heads=False):
+def init_attention_params(rng, model_dim, heads=4):
     if heads < 1:
         raise ContractError(f"attention needs at least one head, got {heads}")
     if model_dim % heads != 0:
         raise ContractError(f"heads ({heads}) must divide model_dim ({model_dim})")
-    w = model_dim // heads if split_heads else model_dim
-    stacked = [np.empty((model_dim, heads * w)) for _ in range(3)]
+    w = model_dim // heads
+    stacked = [np.empty((model_dim, model_dim)) for _ in range(3)]
     # draw order q_0, k_0, v_0, q_1, ...; each block goes straight into its
     # columns, so building a wide layer holds no second copy of its weights
     for i in range(heads):
         for projection in stacked:
             projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w), model_dim, w).data
     w_q, w_k, w_v = (ad.Tensor(projection, requires_grad=True) for projection in stacked)
-    w_o = ad.glorot_uniform(rng, (heads * w, model_dim), heads * w, model_dim)
+    w_o = ad.glorot_uniform(rng, (model_dim, model_dim), model_dim, model_dim)
     return AttentionParams(heads, model_dim, w_q, w_k, w_v, w_o)
 
 
@@ -82,7 +76,7 @@ def multi_head_self_attention(x, params, return_weights=False):
     """Self-attention (Q = K = V = x) with stacked head projections, then W_o.
 
     x is [T, D] or a batch [..., T, D]. Each projection is one GEMM over all
-    rows; its [..., T, h*w] result is split into heads [..., h, T, w], which
+    rows; its [..., T, D] result is split into heads [..., h, T, w], which
     attend as one batch. With return_weights the weights are [..., h, T, T].
     """
     if x.data.ndim < 2:
@@ -100,10 +94,9 @@ def multi_head_self_attention(x, params, return_weights=False):
     def split(w):
         return ad.transpose(ad.reshape(ad.matmul(x, w), by_head), -3, -2)
 
-    out, weights = scaled_dot_attention(
-        split(params.w_q), split(params.w_k), split(params.w_v), params.scale, return_weights=True
-    )
-    merged = ad.reshape(ad.transpose(out, -3, -2), rows + (params.w_o.data.shape[0],))
+    q, k, v = split(params.w_q), split(params.w_k), split(params.w_v)
+    out, weights = scaled_dot_attention(q, k, v, params.head_width, return_weights=True)
+    merged = ad.reshape(ad.transpose(out, -3, -2), rows + (params.model_dim,))
     projected = ad.matmul(merged, params.w_o)
     if return_weights:
         return projected, weights

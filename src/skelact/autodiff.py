@@ -241,17 +241,6 @@ def transpose(x, axis1=-2, axis2=-1):
     return _node(np.swapaxes(x.data, axis1, axis2).copy(), (x,), bw)
 
 
-def slice_rows(x, start, stop):
-    """Rows [start, stop) along axis 0."""
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[start:stop] = g
-        _accumulate(x, full)
-
-    return _node(x.data[start:stop].copy(), (x,), bw)
-
-
 def reverse_rows(x):
     """Reverse the row axis: -2 of a [..., T, D] tensor, the only axis of a vector."""
     axis = max(x.data.ndim - 2, 0)

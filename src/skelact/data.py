@@ -13,7 +13,6 @@ mean joint-to-spine distance so scale is normalized too.
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 
@@ -274,59 +273,3 @@ def load_feature_file(path):
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=16)
     _check_payload_finite(payload, 16)
     return FrameFeatureSequence(payload.reshape(frames, width).copy(), label)
-
-
-# ---------------------------------------------------------------------------
-# NTU text import
-
-_NTU_LABEL = re.compile(r"A(\d{3})")
-
-
-def load_ntu_skeleton(path, joints=25, spine_index=1, max_subjects=2):
-    """Import the NTU text layout; label comes from the A### tag in the name."""
-    with open(path, "r") as fh:
-        tokens = fh.read().split()
-    cursor = 0
-
-    def take(n):
-        nonlocal cursor
-        if cursor + n > len(tokens):
-            raise ParseError(f"{path}: unexpected end of file at token {cursor}")
-        chunk = tokens[cursor:cursor + n]
-        cursor += n
-        return chunk
-
-    def take_int():
-        token = take(1)[0]
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"{path}: expected integer at token {cursor - 1}, got {token!r}") from None
-
-    frame_count = take_int()
-    if frame_count < 1:
-        raise ParseError(f"{path}: no frames")
-    positions = np.zeros((frame_count, max_subjects, joints, 3))
-    seen_subjects = 1
-    for t in range(frame_count):
-        bodies = take_int()
-        for b in range(bodies):
-            take(10)  # body id and tracking fields
-            joint_count = take_int()
-            if joint_count != joints:
-                raise ParseError(
-                    f"{path}: frame {t} body {b} lists {joint_count} joints, expected {joints}"
-                )
-            for j in range(joints):
-                values = take(12)  # x y z, depth/color coords, orientation, state
-                if b < max_subjects:
-                    try:
-                        positions[t, b, j] = [float(v) for v in values[:3]]
-                    except ValueError:
-                        raise ParseError(f"{path}: bad coordinate near token {cursor}") from None
-        seen_subjects = max(seen_subjects, min(bodies, max_subjects))
-    match = _NTU_LABEL.search(str(path))
-    label = int(match.group(1)) - 1 if match else 0
-    return RawSkeletonSample(
-        positions[:, :seen_subjects], joints, seen_subjects, spine_index, label
-    )

@@ -9,6 +9,7 @@ an extra module enabled keeps all shared parameters equal.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, field
@@ -71,17 +72,12 @@ class ModelDims:
     num_classes: int = 4
     heads: int = 4
     stream: StreamConfig = field(default_factory=StreamConfig)
-    attention_split_heads: bool = False
 
     def __post_init__(self):
         if isinstance(self.stream, dict):
             self.stream = StreamConfig(**self.stream)
         if not isinstance(self.stream, StreamConfig):
             raise ContractError(f"ModelDims.stream must be a StreamConfig or a dict, got {self.stream!r}")
-        if not isinstance(self.attention_split_heads, bool):
-            raise ContractError(
-                f"ModelDims.attention_split_heads must be a bool, got {self.attention_split_heads!r}"
-            )
         for name in ("frames", "joints", "coords", "rgb_width", "hidden", "num_classes", "heads"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
@@ -209,10 +205,7 @@ def build_variant(ablation, dims, seed=0):
         attention = None
         if ablation.use_attention:
             attention = init_attention_params(
-                _component_rng(seed, "pose.attention"),
-                cfg.channel_dim,
-                heads=dims.heads,
-                split_heads=dims.attention_split_heads,
+                _component_rng(seed, "pose.attention"), cfg.channel_dim, heads=dims.heads
             )
         lstm_rng = _component_rng(seed, "pose.lstm")
         pose = PoseBranchParams(
@@ -228,10 +221,7 @@ def build_variant(ablation, dims, seed=0):
         attention = None
         if ablation.use_attention:
             attention = init_attention_params(
-                _component_rng(seed, "rgb.attention"),
-                dims.rgb_width,
-                heads=dims.heads,
-                split_heads=dims.attention_split_heads,
+                _component_rng(seed, "rgb.attention"), dims.rgb_width, heads=dims.heads
             )
         lstm_rng = _component_rng(seed, "rgb.lstm")
         rgb = RgbBranchParams(
@@ -361,6 +351,10 @@ def save_checkpoint(path, params):
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
+def _is_size(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_checkpoint(path):
     blob = open(path, "rb").read()
     if blob[:4] != _CKPT_MAGIC:
@@ -374,19 +368,35 @@ def load_checkpoint(path):
         manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable manifest at byte offset 8 ({exc})") from None
+
+    def invalid(exc):
+        return ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})")
+
     try:
         if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
             raise ContractError(f"manifest must be an object with keys {sorted(_MANIFEST_KEYS)}")
         entries = [(name, shape) for name, shape in manifest["tensors"]]
-        params = build_variant(
-            AblationConfig(**manifest["ablation"]), ModelDims(**manifest["dims"]), manifest["seed"]
-        )
+        for name, shape in entries:
+            if not isinstance(name, str) or not isinstance(shape, list) or not all(map(_is_size, shape)):
+                raise ContractError(f"tensor entry {[name, shape]!r} is not [name, list of sizes]")
+        ablation = AblationConfig(**manifest["ablation"])
+        dims = ModelDims(**manifest["dims"])
     except (TypeError, ValueError) as exc:  # ContractError and DimensionError included
-        raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
-    tensors = dict(params.named_parameters())
+        raise invalid(exc) from None
+    # the declared shapes must account for the payload exactly before anything is allocated
     offset = 8 + manifest_len
+    end = offset + 8 * sum(math.prod(shape) for _, shape in entries)
+    if end > len(blob):
+        raise ParseError(f"{path}: payload truncated at byte offset {len(blob)}, its tensors end at {end}")
+    if end < len(blob):
+        raise ParseError(f"{path}: {len(blob) - end} trailing bytes at byte offset {end}")
+    try:
+        params = build_variant(ablation, dims, manifest["seed"])
+    except (TypeError, ValueError, MemoryError) as exc:
+        raise invalid(exc) from None
+    tensors = dict(params.named_parameters())
     for name, shape in entries:
-        if not isinstance(name, str) or name not in tensors:
+        if name not in tensors:
             raise ParseError(f"{path}: manifest names unknown tensor {name!r}")
         tensor = tensors.pop(name)
         if list(tensor.data.shape) != shape:
@@ -394,17 +404,12 @@ def load_checkpoint(path):
                 f"{path}: tensor {name!r} has shape {shape} in manifest, build expects {list(tensor.data.shape)}"
             )
         count = tensor.data.size
-        end = offset + count * 8
-        if end > len(blob):
-            raise ParseError(f"{path}: payload for {name!r} truncated at byte offset {len(blob)}")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ParseError(f"{path}: non-finite value at byte offset {offset + bad * 8}")
         tensor.data = values.reshape(tensor.data.shape).copy()
-        offset = end
+        offset += count * 8
     if tensors:
         raise ParseError(f"{path}: payload missing tensors {sorted(tensors)}")
-    if offset != len(blob):
-        raise ParseError(f"{path}: {len(blob) - offset} trailing bytes at byte offset {offset}")
     return params

@@ -7,6 +7,8 @@ the gradient (g + lambda*p) for both optimizers.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +57,16 @@ class TrainConfig:
             raise ContractError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
-        if self.lr < 0:
-            raise ContractError(f"learning rate must be nonnegative, got {self.lr}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch size must be at least 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ContractError(f"epoch count must be positive, got {self.epochs}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ContractError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+        for name in ("lr", "lr_decay", "l2_lambda", "val_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value < math.inf:
+                raise ContractError(f"TrainConfig.{name} must be finite and nonnegative, got {value!r}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise ContractError(f"TrainConfig.{name} must be an integer >= {low}, got {value!r}")
+        if not self.val_fraction < 1.0:
+            raise ContractError(f"TrainConfig.val_fraction must lie in [0, 1), got {self.val_fraction!r}")
 
 
 class Sgd:

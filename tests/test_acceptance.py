@@ -76,7 +76,7 @@ def attention_oracle(x, params):
         q = x @ params.w_q.data[:, cols]
         k = x @ params.w_k.data[:, cols]
         v = x @ params.w_v.data[:, cols]
-        weights = softmax_rows(q @ k.T / np.sqrt(params.scale))
+        weights = softmax_rows(q @ k.T / np.sqrt(params.head_width))
         heads.append(weights @ v)
     return np.concatenate(heads, axis=1) @ params.w_o.data
 

@@ -27,13 +27,13 @@ def mha_oracle(x, params):
         q = x @ params.w_q.data[:, cols]
         k = x @ params.w_k.data[:, cols]
         v = x @ params.w_v.data[:, cols]
-        attn = softmax_rows(q @ k.T / np.sqrt(params.scale))
+        attn = softmax_rows(q @ k.T / np.sqrt(params.head_width))
         heads.append(attn @ v)
     return np.concatenate(heads, axis=1) @ params.w_o.data
 
 
-def random_params(rng, model_dim, heads, **kw):
-    return init_attention_params(rng, model_dim, heads=heads, **kw)
+def random_params(rng, model_dim, heads):
+    return init_attention_params(rng, model_dim, heads=heads)
 
 
 def test_single_position_returns_value_row():
@@ -130,7 +130,7 @@ def test_matches_per_head_oracle():
 
 def test_split_heads_variant():
     rng = np.random.default_rng(7)
-    params = random_params(rng, 8, 4, split_heads=True)
+    params = random_params(rng, 8, 4)
     assert params.head_width == 2
     for w in (params.w_q, params.w_k, params.w_v, params.w_o):
         assert w.data.shape == (8, 8)
@@ -141,35 +141,35 @@ def test_split_heads_variant():
 
 
 def test_square_heads_stack_four_projections():
+    """The four projections are square [D, D]; each of the h heads is D/h wide."""
     params = random_params(np.random.default_rng(8), 6, 2)
-    assert params.head_width == 6
+    assert params.head_width == 3
     assert [n for n, _ in params.named()] == ["wq", "wk", "wv", "wo"]
-    for w in (params.w_q, params.w_k, params.w_v):
-        assert w.data.shape == (6, 12)
-    assert params.w_o.data.shape == (12, 6)
+    for w in (params.w_q, params.w_k, params.w_v, params.w_o):
+        assert w.data.shape == (6, 6)
 
 
-@pytest.mark.parametrize("model_dim,heads,split", [(6, 2, False), (8, 4, True), (5, 1, False)])
-def test_stacked_columns_equal_per_head_draws(model_dim, heads, split):
+@pytest.mark.parametrize("model_dim,heads", [(6, 2), (8, 4), (5, 1)])
+def test_stacked_columns_equal_per_head_draws(model_dim, heads):
     """Head i's blocks are drawn q_i, k_i, v_i in turn, then W_o, each glorot-uniform."""
-    params = random_params(np.random.default_rng(21), model_dim, heads, split_heads=split)
+    params = random_params(np.random.default_rng(21), model_dim, heads)
     rng = np.random.default_rng(21)
-    w = model_dim // heads if split else model_dim
+    w = model_dim // heads
     limit = np.sqrt(6.0 / (model_dim + w))
     for i in range(heads):
         cols = slice(i * w, (i + 1) * w)
         for stacked in (params.w_q, params.w_k, params.w_v):
             block = rng.uniform(-limit, limit, size=(model_dim, w))
             np.testing.assert_array_equal(stacked.data[:, cols], block)
-    limit_o = np.sqrt(6.0 / (heads * w + model_dim))
+    limit_o = np.sqrt(6.0 / (2 * model_dim))
     np.testing.assert_array_equal(
-        params.w_o.data, rng.uniform(-limit_o, limit_o, size=(heads * w, model_dim))
+        params.w_o.data, rng.uniform(-limit_o, limit_o, size=(model_dim, model_dim))
     )
 
 
 def test_return_weights_stacks_heads():
     rng = np.random.default_rng(22)
-    params = random_params(rng, 8, 4, split_heads=True)
+    params = random_params(rng, 8, 4)
     x = rng.normal(size=(3, 5, 8))
     out, weights = multi_head_self_attention(ad.Tensor(x), params, return_weights=True)
     assert out.data.shape == (3, 5, 8)
@@ -180,7 +180,7 @@ def test_return_weights_stacks_heads():
         cols = slice(i * w, (i + 1) * w)
         q = x[1] @ params.w_q.data[:, cols]
         k = x[1] @ params.w_k.data[:, cols]
-        expect = softmax_rows(q @ k.T / np.sqrt(params.scale))
+        expect = softmax_rows(q @ k.T / np.sqrt(params.head_width))
         np.testing.assert_allclose(weights.data[1, i], expect, atol=1e-12)
 
 

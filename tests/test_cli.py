@@ -131,6 +131,18 @@ def test_unknown_config_key_rejected(workspace, tmp_path):
     assert "learning_rate" in result.stderr
 
 
+def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("epochs=3.0\n")
+    result = run_cli(
+        "train", "--data", str(workspace / "data"), "--variant", "baseline",
+        "--config", str(bad), "--out", str(tmp_path / "x.ckpt"),
+    )
+    assert result.returncode == 1
+    assert "epochs" in result.stderr
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_ablate_table_and_determinism(workspace):
     args = (
         "ablate", "--data", str(workspace / "data"),

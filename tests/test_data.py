@@ -9,7 +9,6 @@ from skelact.data import (
     generate_raw,
     generate_synthetic,
     load_feature_file,
-    load_ntu_skeleton,
     load_skeleton_file,
     normalize_positions,
     normalize_spine,
@@ -263,52 +262,6 @@ def test_preprocess_features_shape():
     rng = np.random.default_rng(11)
     fseq = FrameFeatureSequence(rng.normal(size=(32, FEATURE_WIDTH)), 0)
     assert preprocess_features(fseq).shape == (20, FEATURE_WIDTH)
-
-
-# ---------------------------------------------------------------------------
-# NTU text import
-
-
-def write_fake_ntu(path, frames=3, joints=25, bodies=1):
-    rng = np.random.default_rng(12)
-    lines = [str(frames)]
-    for _ in range(frames):
-        lines.append(str(bodies))
-        for _ in range(bodies):
-            lines.append("72057594037931101 0 1 1 1 1 0.1 -0.2 0 2")
-            lines.append(str(joints))
-            for _ in range(joints):
-                xyz = rng.normal(size=3) + 1.0
-                rest = "100 200 300 400 0.1 0.2 0.3 0.4 2"
-                lines.append(f"{xyz[0]:.6f} {xyz[1]:.6f} {xyz[2]:.6f} {rest}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_ntu_import_and_preprocess(tmp_path):
-    path = tmp_path / "S001C001P001R001A013.skeleton"
-    write_fake_ntu(path)
-    sample = load_ntu_skeleton(path)
-    assert sample.label == 12
-    assert sample.subjects == 1
-    assert sample.positions.shape == (3, 1, 25, 3)
-    pose = preprocess_skeleton(sample)
-    assert pose.shape == (20, 25, 3)
-
-
-def test_ntu_import_rejects_wrong_joint_count(tmp_path):
-    path = tmp_path / "A001.skeleton"
-    write_fake_ntu(path, joints=20)
-    with pytest.raises(ParseError):
-        load_ntu_skeleton(path)
-
-
-def test_ntu_import_truncated(tmp_path):
-    path = tmp_path / "A002.skeleton"
-    write_fake_ntu(path)
-    text = path.read_text().split("\n")
-    path.write_text("\n".join(text[:10]))
-    with pytest.raises(ParseError, match="token"):
-        load_ntu_skeleton(path)
 
 
 def test_raw_files_match_generator(tmp_path):

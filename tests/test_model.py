@@ -331,7 +331,7 @@ BAD_MANIFESTS = {
     "extra-key": lambda m: {**m, "extra": 1},
     "bad-branch": lambda m: {**m, "ablation": {"branch": "hands"}},
     "flag-string": lambda m: {**m, "ablation": {**m["ablation"], "use_seu": "false"}},
-    "split-heads-string": lambda m: _with_dims(m, attention_split_heads="no"),
+    "parent-split-heads": lambda m: _with_dims(m, attention_split_heads=True),
     "dims-tied-key": lambda m: _with_dims(m, attention_tied=False),
     "dims-fusion-key": lambda m: _with_dims(m, fusion="time"),
     "frames-string": lambda m: _with_dims(m, frames="x"),
@@ -344,16 +344,24 @@ BAD_MANIFESTS = {
     "tensor-entry-short": lambda m: {**m, "tensors": [["classifier.bias"]]},
     "tensors-int": lambda m: {**m, "tensors": 7},
     "tensor-name-list": lambda m: {**m, "tensors": [[["classifier", "bias"], [2]]]},
+    # one [1e7, 1e7] projection is larger than the address space: MemoryError at once
+    "rgb-width-huge": lambda m: _with_dims(m, rgb_width=10**7),
+    "shape-total": lambda m: {**m, "tensors": [
+        [name, [size + 1 for size in shape] if name == "classifier.bias" else shape]
+        for name, shape in m["tensors"]
+    ]},
 }
 
 
-@pytest.mark.parametrize("edit", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
-def test_checkpoint_bad_manifest_is_parse_error(tmp_path, edit):
+@pytest.mark.parametrize("case", BAD_MANIFESTS)
+def test_checkpoint_bad_manifest_is_parse_error(tmp_path, case):
     params = build_variant(variant_config("full", "both"), tiny_dims(), seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params)
-    _rewrite_manifest(path, edit)
-    with pytest.raises(ParseError):
+    _rewrite_manifest(path, BAD_MANIFESTS[case])
+    # the shape edit makes the tensors overrun the payload, so that error names where the file ends
+    expected = "payload truncated" if case == "shape-total" else "invalid manifest at byte offset 8 "
+    with pytest.raises(ParseError, match=expected):
         load_checkpoint(path)
 
 

@@ -295,8 +295,7 @@ def test_concat_slice_round_trip_bit_exact():
     out = ad.concat([ad.Tensor(p) for p in parts], axis=0)
     offset = 0
     for p in parts:
-        piece = ad.slice_rows(out, offset, offset + p.shape[0])
-        assert (piece.data == p).all()
+        assert (out.data[offset:offset + p.shape[0]] == p).all()
         offset += p.shape[0]
 
 
@@ -451,7 +450,6 @@ def test_fd_shape_ops():
         x = ad.Tensor(rng.normal(size=(3, 4)))
         _fd(lambda t: ad.sum_all(ad.reshape(t, (2, 6))), x)
         _fd(lambda t: ad.sum_all(ad.mul(ad.transpose(t), ad.transpose(t))), x)
-        _fd(lambda t: ad.sum_all(ad.slice_rows(t, 1, 3)), x)
         _fd(lambda t: ad.sum_all(ad.mul(ad.reverse_rows(t), ad.reverse_rows(t))), x)
         other = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         half = ad.Tensor(rng.normal(size=(2, 4)))

@@ -222,6 +222,28 @@ def test_train_config_validation():
     assert TrainConfig(lr=0.0).lr == 0.0  # frozen-model runs are legal
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")),
+    ("lr", float("inf")),
+    ("lr", "fast"),
+    ("lr_decay", -1.0),  # 1 + decay * step is zero at step 1
+    ("lr_decay", float("nan")),
+    ("l2_lambda", float("nan")),
+    ("l2_lambda", -1e-5),
+    ("val_fraction", float("nan")),
+    ("epochs", 3.0),
+    ("epochs", True),
+    ("batch_size", 4.0),
+    ("batch_size", False),
+    ("seed", 1.5),
+    ("seed", True),
+    ("seed", -1),
+])
+def test_train_config_rejects_bad_value(field, value):
+    with pytest.raises(ContractError, match=f"TrainConfig.{field} "):
+        TrainConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
