@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, require_finite, require_integer
 
 FEATURE_WIDTH = 1536
 TARGET_FRAMES = 20
@@ -78,12 +78,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ContractError("synthetic benchmark needs at least 2 classes")
-        if self.samples_per_class < 1 or self.joints < 2 or self.frames < 2:
-            raise ContractError("synthetic spec sizes must be positive")
-        if not 0 <= self.spine_index < self.joints:
-            raise ContractError(f"spine index {self.spine_index} outside joint range")
+        for name, low in (("num_classes", 2), ("samples_per_class", 1), ("joints", 2),
+                          ("frames", 2), ("spine_index", 0), ("seed", 0)):
+            require_integer("SyntheticSpec", name, getattr(self, name), low)
+        if not self.spine_index < self.joints:
+            raise ContractError(
+                f"SyntheticSpec.spine_index {self.spine_index} outside joint range [0, {self.joints})"
+            )
+        for name in ("base_frequency", "frequency_gap", "amplitude"):
+            require_finite("SyntheticSpec", name, getattr(self, name))
+        for name in ("noise_sigma", "rgb_noise_sigma"):
+            require_finite("SyntheticSpec", name, getattr(self, name), low=0)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 lstm_forward is a single fused graph node: the whole recurrence runs in
 numpy and the backward closure replays it in reverse (backpropagation
 through time). This keeps the graph small enough that training stays fast
-without changing any semantics.
+without changing any semantics. Both loops write every step into arrays
+allocated once per call, so a step costs a few ufunc calls and one matmul.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _accumulate, _node, stable_sigmoid
+from .autodiff import _accumulate, _node
 from .errors import DimensionError
 
 
@@ -62,57 +63,87 @@ def lstm_forward(seq, params):
     steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(-1, t_len, d), 0, 1))
     batch = steps.shape[1]
     step_rows = steps.reshape(t_len * batch, d)
-    zx = (step_rows @ w_x.data + bias.data).reshape(t_len, batch, 4 * h)
+    # One tanh per step covers all four gates: sigmoid(z) = (1 + tanh(z/2))/2.
+    # The halving is folded into the sigmoid columns (i, f and o) of zx and
+    # of a copy of w_h, and the affine step into one multiply by the same
+    # column scale and one add (+0.5, or -0.0 on the cell-input columns).
+    # Halving is exact in float64 and 0.5*t + 0.5 rounds as (1 + t)*0.5
+    # does, so the gates equal stable_sigmoid's, bit for bit.
+    gate_scale = np.full(4 * h, 0.5)
+    gate_scale[2 * h:3 * h] = 1.0
+    gate_shift = np.full(4 * h, 0.5)
+    gate_shift[2 * h:3 * h] = -0.0
+    zx = (step_rows @ w_x.data).reshape(t_len, batch, 4 * h)
+    zx += bias.data
+    zx *= gate_scale
+    w_h_half = w_h.data * gate_scale
     gates = np.empty((t_len, batch, 4 * h))  # activated input, forget, cell, output
-    cells = np.empty((t_len, batch, h))
+    cells = np.zeros((t_len + 1, batch, h))  # row 0 is the zero initial state
+    hidden = np.zeros((t_len + 1, batch, h))
     tanh_c = np.empty((t_len, batch, h))
-    hidden_seq = np.empty((t_len, batch, h))
-    h_prev = np.zeros((batch, h))
-    c_prev = np.zeros((batch, h))
     for t in range(t_len):
-        z = zx[t] + h_prev @ w_h.data
         a = gates[t]
-        a[:, :2 * h] = stable_sigmoid(z[:, :2 * h])
-        a[:, 2 * h:3 * h] = np.tanh(z[:, 2 * h:3 * h])
-        a[:, 3 * h:] = stable_sigmoid(z[:, 3 * h:])
-        cells[t] = a[:, h:2 * h] * c_prev + a[:, :h] * a[:, 2 * h:3 * h]
-        tanh_c[t] = np.tanh(cells[t])
-        hidden_seq[t] = a[:, 3 * h:] * tanh_c[t]
-        h_prev = hidden_seq[t]
-        c_prev = cells[t]
+        np.matmul(hidden[t], w_h_half, out=a)
+        a += zx[t]
+        np.tanh(a, out=a)
+        a *= gate_scale
+        a += gate_shift
+        # c = f*c_prev + i*g and h = o*tanh(c), with tanh_c[t] holding i*g first
+        np.multiply(a[:, :h], a[:, 2 * h:3 * h], out=tanh_c[t])
+        np.multiply(a[:, h:2 * h], cells[t], out=cells[t + 1])
+        cells[t + 1] += tanh_c[t]
+        np.tanh(cells[t + 1], out=tanh_c[t])
+        np.multiply(a[:, 3 * h:], tanh_c[t], out=hidden[t + 1])
 
     def bw(g):
         g_steps = np.swapaxes(g.reshape(batch, t_len, h), 0, 1)
-        dz_all = np.empty((t_len, batch, 4 * h))
+        gate_i, gate_f, gate_g, gate_o = (gates[..., k * h:(k + 1) * h] for k in range(4))
+        # Every factor that does not depend on the incoming gradient, for all T,
+        # stored where the step loop scales it in place: dz_all starts as
+        # [g i(1-i), c_prev f(1-f), i(1-g^2), tanh(c) o(1-o)], to be multiplied
+        # by [dc, dc, dc, dh], and dc = dh*o(1-tanh^2 c) + dc_next. This closure
+        # runs once (backward drops it), so tanh_c can hold o(1-tanh^2 c).
+        dz_all = np.empty((t_len, batch, 4, h))  # gate blocks as an axis of their own
+        to_i, to_f, to_g, to_o = (dz_all[:, :, k] for k in range(4))
+        np.subtract(1.0, gate_i, out=to_i)
+        to_i *= gate_i
+        to_i *= gate_g
+        np.subtract(1.0, gate_f, out=to_f)
+        to_f *= gate_f
+        to_f *= cells[:t_len]
+        np.multiply(gate_g, gate_g, out=to_g)
+        np.subtract(1.0, to_g, out=to_g)
+        to_g *= gate_i
+        np.subtract(1.0, gate_o, out=to_o)
+        to_o *= gate_o
+        to_o *= tanh_c
+        dc_from_dh = tanh_c
+        dc_from_dh *= tanh_c
+        np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+        dc_from_dh *= gate_o
+        dh = np.empty((batch, h))
+        dc = np.empty((batch, h))
         dh_next = np.zeros((batch, h))
         dc_next = np.zeros((batch, h))
+        w_h_t = w_h.data.T
         for t in range(t_len - 1, -1, -1):
-            a = gates[t]
-            gate_i, gate_f, gate_g, gate_o = a[:, :h], a[:, h:2 * h], a[:, 2 * h:3 * h], a[:, 3 * h:]
-            dh = g_steps[t] + dh_next
-            c_before = cells[t - 1] if t > 0 else np.zeros((batch, h))
-            do = dh * tanh_c[t]
-            dc = dh * gate_o * (1.0 - tanh_c[t] ** 2) + dc_next
-            di = dc * gate_g
-            dg = dc * gate_i
-            df = dc * c_before
             dz = dz_all[t]
-            dz[:, :h] = di * gate_i * (1.0 - gate_i)
-            dz[:, h:2 * h] = df * gate_f * (1.0 - gate_f)
-            dz[:, 2 * h:3 * h] = dg * (1.0 - gate_g ** 2)
-            dz[:, 3 * h:] = do * gate_o * (1.0 - gate_o)
-            dh_next = dz @ w_h.data.T
-            dc_next = dc * gate_f
+            np.add(g_steps[t], dh_next, out=dh)
+            dz[:, 3] *= dh
+            np.multiply(dh, dc_from_dh[t], out=dc)
+            dc += dc_next
+            dz[:, :3] *= dc[:, None, :]
+            np.matmul(dz.reshape(batch, 4 * h), w_h_t, out=dh_next)
+            np.multiply(dc, gate_f[t], out=dc_next)
         dz_rows = dz_all.reshape(t_len * batch, 4 * h)
-        prev_hidden = np.concatenate([np.zeros((1, batch, h)), hidden_seq[:-1]]).reshape(t_len * batch, h)
         _accumulate(w_x, step_rows.T @ dz_rows)
-        _accumulate(w_h, prev_hidden.T @ dz_rows)
+        _accumulate(w_h, hidden[:t_len].reshape(t_len * batch, h).T @ dz_rows)
         _accumulate(bias, dz_rows.sum(axis=0))
         if seq.requires_grad:
             d_steps = (dz_rows @ w_x.data.T).reshape(t_len, batch, d)
             _accumulate(seq, np.swapaxes(d_steps, 0, 1).reshape(seq.data.shape))
 
-    out = np.swapaxes(hidden_seq, 0, 1).reshape(seq.data.shape[:-1] + (h,))
+    out = np.swapaxes(hidden[1:], 0, 1).reshape(seq.data.shape[:-1] + (h,))
     return _node(out, (seq, w_x, w_h, bias), bw)
 
 

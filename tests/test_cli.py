@@ -72,6 +72,16 @@ def test_gen_data_missing_out_is_usage_error():
     assert result.stdout == ""
 
 
+def test_gen_data_non_finite_spec_rejected(tmp_path):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text("samples_per_class=2\nnoise_sigma=nan\n")
+    out = tmp_path / "data"
+    result = run_cli("gen-data", "--spec", str(spec), "--out", str(out))
+    assert result.returncode == 1
+    assert "SyntheticSpec.noise_sigma" in result.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_eval_inspect_round_trip(workspace):
     data = workspace / "data"
     ckpt = workspace / "run.ckpt"
@@ -141,6 +151,22 @@ def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
     assert result.returncode == 1
     assert "epochs" in result.stderr
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_non_finite_loss_exits_1_without_checkpoint(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen-data", "--out", str(data), "--seed", "0").returncode == 0
+    config = tmp_path / "diverge.cfg"
+    config.write_text("optimizer=sgd\nlr=1e6\nepochs=2\n")
+    ckpt = tmp_path / "x.ckpt"
+    result = run_cli(
+        "train", "--data", str(data), "--variant", "baseline",
+        "--config", str(config), "--out", str(ckpt),
+    )
+    assert result.returncode == 1
+    assert "non-finite training loss" in result.stderr
+    assert "at epoch 2, step " in result.stderr and "global step" in result.stderr
+    assert not ckpt.exists() and not (tmp_path / "x.ckpt.best").exists()
 
 
 def test_ablate_table_and_determinism(workspace):

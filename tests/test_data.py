@@ -134,6 +134,38 @@ def small_spec(**kw):
     return SyntheticSpec(**base)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_classes", 1),
+    ("num_classes", 3.0),
+    ("samples_per_class", 2.5),
+    ("samples_per_class", True),
+    ("joints", 1),
+    ("frames", "12"),
+    ("spine_index", -1),
+    ("spine_index", 6),  # small_spec has 6 joints
+    ("spine_index", 1.0),
+    ("seed", -3),
+    ("seed", False),
+    ("base_frequency", float("nan")),
+    ("frequency_gap", float("-inf")),
+    ("amplitude", float("inf")),
+    ("amplitude", True),
+    ("noise_sigma", float("nan")),
+    ("noise_sigma", -0.1),
+    ("rgb_noise_sigma", float("inf")),
+    ("rgb_noise_sigma", "0.5"),
+])
+def test_synthetic_spec_rejects_bad_value(field, value):
+    with pytest.raises(ContractError, match=f"SyntheticSpec.{field} "):
+        small_spec(**{field: value})
+
+
+def test_synthetic_spec_accepts_signed_motion_and_zero_noise():
+    spec = small_spec(base_frequency=-1.0, frequency_gap=0, amplitude=-0.5,
+                      noise_sigma=0, rgb_noise_sigma=0.0, seed=0)
+    assert len(generate_raw(spec)) == 12
+
+
 def test_generator_deterministic():
     a = generate_synthetic(small_spec())
     b = generate_synthetic(small_spec())

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skelact import autodiff as ad
 from skelact.errors import DimensionError
@@ -198,3 +200,123 @@ def test_hidden_size_mismatch_between_directions():
     rng = np.random.default_rng(10)
     with pytest.raises(DimensionError):
         bilstm(ad.Tensor(np.zeros((3, 2))), make_params(rng, 2, 2), make_params(rng, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# in-place recurrence against the allocating per-step reference
+
+
+def reference_sigmoid(z):
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def reference_lstm(seq, w_x, w_h, bias, upstream):
+    """The allocating per-step LSTM forward and BPTT loop, frozen as plain numpy.
+
+    seq [..., T, D]; returns the output [..., T, H] and the gradients of
+    sum(output * upstream) with respect to seq, w_x, w_h and bias.
+    """
+    *lead, t_len, d = seq.shape
+    h = w_h.shape[0]
+    steps = np.ascontiguousarray(np.swapaxes(seq.reshape(-1, t_len, d), 0, 1))
+    batch = steps.shape[1]
+    step_rows = steps.reshape(t_len * batch, d)
+    zx = (step_rows @ w_x + bias).reshape(t_len, batch, 4 * h)
+    gates = np.empty((t_len, batch, 4 * h))
+    cells = np.empty((t_len, batch, h))
+    tanh_c = np.empty((t_len, batch, h))
+    hidden_seq = np.empty((t_len, batch, h))
+    h_prev = np.zeros((batch, h))
+    c_prev = np.zeros((batch, h))
+    for t in range(t_len):
+        z = zx[t] + h_prev @ w_h
+        a = gates[t]
+        a[:, :2 * h] = reference_sigmoid(z[:, :2 * h])
+        a[:, 2 * h:3 * h] = np.tanh(z[:, 2 * h:3 * h])
+        a[:, 3 * h:] = reference_sigmoid(z[:, 3 * h:])
+        cells[t] = a[:, h:2 * h] * c_prev + a[:, :h] * a[:, 2 * h:3 * h]
+        tanh_c[t] = np.tanh(cells[t])
+        hidden_seq[t] = a[:, 3 * h:] * tanh_c[t]
+        h_prev = hidden_seq[t]
+        c_prev = cells[t]
+    out = np.swapaxes(hidden_seq, 0, 1).reshape(seq.shape[:-1] + (h,))
+
+    g_steps = np.swapaxes(upstream.reshape(batch, t_len, h), 0, 1)
+    dz_all = np.empty((t_len, batch, 4 * h))
+    dh_next = np.zeros((batch, h))
+    dc_next = np.zeros((batch, h))
+    for t in range(t_len - 1, -1, -1):
+        a = gates[t]
+        gate_i, gate_f, gate_g, gate_o = a[:, :h], a[:, h:2 * h], a[:, 2 * h:3 * h], a[:, 3 * h:]
+        dh = g_steps[t] + dh_next
+        c_before = cells[t - 1] if t > 0 else np.zeros((batch, h))
+        do = dh * tanh_c[t]
+        dc = dh * gate_o * (1.0 - tanh_c[t] ** 2) + dc_next
+        dz = dz_all[t]
+        dz[:, :h] = dc * gate_g * gate_i * (1.0 - gate_i)
+        dz[:, h:2 * h] = dc * c_before * gate_f * (1.0 - gate_f)
+        dz[:, 2 * h:3 * h] = dc * gate_i * (1.0 - gate_g ** 2)
+        dz[:, 3 * h:] = do * gate_o * (1.0 - gate_o)
+        dh_next = dz @ w_h.T
+        dc_next = dc * gate_f
+    dz_rows = dz_all.reshape(t_len * batch, 4 * h)
+    prev_hidden = np.concatenate([np.zeros((1, batch, h)), hidden_seq[:-1]]).reshape(t_len * batch, h)
+    d_steps = (dz_rows @ w_x.T).reshape(t_len, batch, d)
+    d_seq = np.swapaxes(d_steps, 0, 1).reshape(seq.shape)
+    return out, d_seq, step_rows.T @ dz_rows, prev_hidden.T @ dz_rows, dz_rows.sum(axis=0)
+
+
+# float64 rounding: the in-place backward reassociates the gate products
+GRAD_RTOL, GRAD_ATOL = 1e-12, 1e-13
+
+
+def param_grads(params):
+    return [params.w_x.grad, params.w_h.grad, params.bias.grad]
+
+
+def assert_grads_close(actual, expected):
+    for got, want in zip(actual, expected):
+        np.testing.assert_allclose(got, want, rtol=GRAD_RTOL, atol=GRAD_ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_len=st.integers(1, 7),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    d=st.integers(1, 5),
+    h=st.integers(1, 5),
+    input_scale=st.sampled_from([1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t_len=84, lead=(1,), d=5, h=6, input_scale=1.0, seed=0)
+@example(t_len=20, lead=(4,), d=5, h=6, input_scale=1e3, seed=1)
+def test_lstm_and_bilstm_match_per_step_reference(t_len, lead, d, h, input_scale, seed):
+    rng = np.random.default_rng(seed)
+    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    for params in (fwd, bwd):
+        params.bias.data = rng.normal(size=4 * h)
+    seq_data = input_scale * rng.normal(size=lead + (t_len, d))
+
+    upstream = rng.normal(size=lead + (t_len, h))
+    seq = ad.Tensor(seq_data, requires_grad=True)
+    out = lstm_forward(seq, fwd)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
+    want_out, want_dseq, *want_params = reference_lstm(
+        seq_data, fwd.w_x.data, fwd.w_h.data, fwd.bias.data, upstream)
+    np.testing.assert_array_equal(out.data, want_out)
+    assert_grads_close([seq.grad] + param_grads(fwd), [want_dseq] + want_params)
+
+    for params in (fwd, bwd):
+        params.w_x.grad = params.w_h.grad = params.bias.grad = None
+    upstream = rng.normal(size=lead + (t_len, 2 * h))
+    seq = ad.Tensor(seq_data, requires_grad=True)
+    out = bilstm(seq, fwd, bwd)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
+    want_f, dseq_f, *want_fwd = reference_lstm(
+        seq_data, fwd.w_x.data, fwd.w_h.data, fwd.bias.data, upstream[..., :h])
+    reversed_seq = seq_data[..., ::-1, :]
+    want_b, dseq_b, *want_bwd = reference_lstm(
+        reversed_seq, bwd.w_x.data, bwd.w_h.data, bwd.bias.data, upstream[..., ::-1, h:])
+    np.testing.assert_array_equal(out.data, np.concatenate([want_f, want_b[..., ::-1, :]], axis=-1))
+    assert_grads_close([seq.grad] + param_grads(fwd) + param_grads(bwd),
+                       [dseq_f + dseq_b[..., ::-1, :]] + want_fwd + want_bwd)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from skelact.errors import ContractError
 from skelact.model import ModelDims, build_variant, load_checkpoint, variant_config
 from skelact.streams import StreamConfig
 from skelact.training import (
+    CHUNK,
     Adam,
     Sgd,
     TrainConfig,
@@ -200,6 +202,80 @@ def test_adam_state_shape_mismatch_rejected():
         opt.step()
 
 
+# ---------------------------------------------------------------------------
+# in-place optimizer steps against the allocating reference
+
+
+def reference_sgd_step(p, g, lr_t, l2):
+    """The allocating SGD update, frozen as the reference for the in-place step."""
+    return p - lr_t * (g + l2 * p)
+
+
+def reference_adam_step(p, g, m, v, lr_t, steps, l2, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The allocating Adam update (Kingma & Ba 2015) with L2 in the gradient; `steps`
+    counts this step. Returns the new (p, m, v)."""
+    g = g + l2 * p
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** steps)
+    v_hat = v / (1.0 - beta2 ** steps)
+    return p - lr_t * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+# every size flat, and again as a 2-D or 3-D tensor (factors of the sizes at CHUNK = 32768)
+CHUNK_SHAPES = [(n,) for n in CHUNK_SIZES] + [(1, 1, 1), (7, 31, 151), (128, 256), (3, 10923), (17, 5783)]
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_in_place_step_equals_allocating_reference(kind):
+    assert [math.prod(shape) for shape in CHUNK_SHAPES[len(CHUNK_SIZES):]] == CHUNK_SIZES
+    rng = np.random.default_rng(31)
+    lr, l2, decay = 3e-2, 1e-3, 0.1
+    tensors = [param_tensor(rng.normal(size=shape)) for shape in CHUNK_SHAPES]
+    reference = [t.data.copy() for t in tensors]
+    moments = [(np.zeros(t.data.shape), np.zeros(t.data.shape)) for t in tensors]
+    cls = Adam if kind == "adam" else Sgd
+    opt = cls(tensors, lr=lr, l2_lambda=l2, lr_decay=decay)
+    for step in range(5):
+        lr_t = lr / (1.0 + decay * step)
+        for idx, t in enumerate(tensors):
+            t.grad = rng.normal(size=t.data.shape)
+            if kind == "adam":
+                reference[idx], *moments[idx] = reference_adam_step(
+                    reference[idx], t.grad, *moments[idx], lr_t, step + 1, l2)
+            else:
+                reference[idx] = reference_sgd_step(reference[idx], t.grad, lr_t, l2)
+        opt.step()
+    for idx, t in enumerate(tensors):
+        np.testing.assert_array_equal(t.data, reference[idx])
+        if kind == "adam":
+            np.testing.assert_array_equal(opt.m[idx], moments[idx][0])
+            np.testing.assert_array_equal(opt.v[idx], moments[idx][1])
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("layout", ["transposed", "read-only"])
+def test_in_place_step_updates_any_data_layout(kind, layout):
+    rng = np.random.default_rng(32)
+    data = rng.normal(size=(6, CHUNK // 4))
+    t = param_tensor(data.copy())
+    if layout == "transposed":
+        t.data = t.data.T
+    else:
+        t.data.flags.writeable = False
+    start = t.data.copy()
+    grad = rng.normal(size=t.data.shape)
+    opt = (Adam if kind == "adam" else Sgd)([t], lr=1e-2, l2_lambda=1e-3, lr_decay=0.0)
+    t.grad = grad
+    opt.step()
+    if kind == "adam":
+        expect = reference_adam_step(start, grad, 0.0, 0.0, 1e-2, 1, 1e-3)[0]
+    else:
+        expect = reference_sgd_step(start, grad, 1e-2, 1e-3)
+    np.testing.assert_array_equal(t.data, expect)
+
+
 def test_make_optimizer_resolves_defaults():
     params = tiny_model("baseline")
     adam = make_optimizer(params, TrainConfig(optimizer="adam"))
@@ -345,6 +421,37 @@ def test_no_validation_split_skips_best_checkpoint(tmp_path):
     assert all(r["split"] == "train" for r in records)
     assert path.exists()
     assert not (tmp_path / "run.ckpt.best").exists()
+
+
+def test_non_finite_parameter_stops_training_and_names_it(tmp_path):
+    dataset = tiny_dataset()
+    params = tiny_model()
+    named = list(params.named_parameters())
+    name, tensor = named[3]
+    tensor.data[(0,) * tensor.data.ndim] = np.nan
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(ContractError, match=rf"at epoch 1, step 1 \(global step 1\); "
+                                            rf"first non-finite parameter group: {name} \(data\)$"):
+        train(dataset, params, TrainConfig(epochs=2, seed=0), ckpt_path=path)
+    # a gradient left by the previous step counts too, in named_parameters() order
+    earlier, held = named[1]
+    held.grad = np.full(held.data.shape, np.inf)
+    with pytest.raises(ContractError, match=rf"first non-finite parameter group: {earlier} \(grad\)$"):
+        train(dataset, params, TrainConfig(epochs=2, seed=0), ckpt_path=path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diverging_training_stops_before_any_checkpoint(tmp_path):
+    dataset = tiny_dataset()
+    params = tiny_model("baseline")
+    path = tmp_path / "run.ckpt"
+    config = TrainConfig(optimizer="sgd", lr=1e100, epochs=3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the point
+        with pytest.raises(ContractError, match=r"non-finite training loss .* at epoch \d+, step \d+ "
+                                                r"\(global step \d+\); .*parameter group"):
+            train(dataset, params, config, ckpt_path=path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_empty_dataset_rejected():
