@@ -6,11 +6,18 @@ the graph on their outputs (parent references plus a backward closure), and
 order, accumulating gradients additively into every tensor that requires
 them. Gradients are never overwritten on fan-out; callers zero them between
 optimizer steps.
+
+Gradients are handed off, not copied: the first gradient a tensor receives
+becomes its `.grad` as given, so it may be the very array another tensor
+holds, or a view of one. That is safe under one rule: no backward closure
+writes into an array after passing it to `_accumulate`, and `.grad` is never
+updated in place (a later gradient rebinds it, `t.grad = t.grad + g`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -81,10 +88,11 @@ def _node(data, parents, backward_fn):
 
 
 def _accumulate(t, g):
+    """Hand gradient `g` to `t`: stored as given first, added by rebinding after."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -197,23 +205,6 @@ def scale(x, s):
     return _node(x.data * s, (x,), bw)
 
 
-def log(x):
-    def bw(g):
-        _accumulate(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), bw)
-
-
-def clamp_min(x, floor):
-    floor = float(floor)
-    mask = x.data > floor
-
-    def bw(g):
-        _accumulate(x, g * mask)
-
-    return _node(np.maximum(x.data, floor), (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -291,20 +282,26 @@ def sum_all(x):
     return _node(np.asarray(x.data.sum()), (x,), bw)
 
 
-def pick(x, index):
-    """x[index] of a vector, or one entry per row of x [..., C] given indices of shape x.shape[:-1]."""
+def _class_index(x, index, op):
+    """Integer indices of shape x.shape[:-1] into x's last axis, as [..., 1], range-checked."""
     if x.data.ndim < 1:
-        raise DimensionError("pick expects a 1-d tensor, got 0-d")
+        raise DimensionError(f"{op} expects a 1-d tensor, got 0-d")
     index = np.asarray(index)
     if index.shape != x.data.shape[:-1]:
         raise DimensionError(
-            f"pick: index shape {index.shape} does not match the {x.data.shape[:-1]} rows of the tensor"
+            f"{op}: index shape {index.shape} does not match the {x.data.shape[:-1]} rows of the tensor"
         )
     index = index.astype(np.int64)[..., None]
     width = x.data.shape[-1]
     bad = (index < 0) | (index >= width)
     if bad.any():
-        raise ContractError(f"pick index {int(index[bad][0])} out of range [0, {width})")
+        raise ContractError(f"{op} index {int(index[bad][0])} out of range [0, {width})")
+    return index
+
+
+def pick(x, index):
+    """x[index] of a vector, or one entry per row of x [..., C] given indices of shape x.shape[:-1]."""
+    index = _class_index(x, index, "pick")
 
     def bw(g):
         full = np.zeros_like(x.data)
@@ -417,6 +414,28 @@ def softmax(x):
     return _node(s, (x,), bw)
 
 
+def softmax_cross_entropy(logits, labels):
+    """Mean over rows of -log softmax(logits)[label], computed through log-softmax.
+
+    logits [..., C] with one integer label per row (labels of shape
+    logits.shape[:-1]). The gradient, (softmax - onehot) / rows, stays
+    useful however confidently wrong a row is.
+    """
+    index = _class_index(logits, labels, "softmax_cross_entropy")
+    rows = index.size
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -np.take_along_axis(log_probs, index, axis=-1).sum() / rows
+
+    def bw(g):
+        grad = np.exp(log_probs)
+        np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=-1) - 1.0, axis=-1)
+        grad *= float(g) / rows
+        _accumulate(logits, grad)
+
+    return _node(np.asarray(loss), (logits,), bw)
+
+
 def layer_norm(x, gain, shift, epsilon=1e-6):
     """Per-row standardization of [..., N, D] followed by an affine with gain/shift."""
     if x.data.ndim < 2:
@@ -465,8 +484,12 @@ def conv1d(x, kernel, bias, padding="same"):
     """1-d convolution of x [..., L, C_in] with kernel [K, C_in, C_out] and bias [C_out].
 
     Leading axes are batch. 'same' keeps L positions via zero padding;
-    'valid' yields L - K + 1. All sequences' windows (im2col) go through one
-    GEMM with the kernel, in the forward pass and for the kernel's gradient.
+    'valid' yields L - K + 1. The input is never padded or widened: K=1 is
+    one GEMM of the input rows with kernel[0]. For K>1 one GEMM per tap
+    gives the tap outputs [K, rows, C_out], which are shift-added onto the
+    bias, clipped at the sequence edges (kn2row: Anderson et al., "Low-memory
+    GEMM-based convolution algorithms", 2017). The backward shifts the output
+    gradient once per tap, on the narrow C_out side, for both GEMMs.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"conv1d expects a 2-d input or a batch of them, got {x.data.ndim}-d")
@@ -491,32 +514,53 @@ def conv1d(x, kernel, bias, padding="same"):
         raise DimensionError(
             f"conv1d: kernel width {k} exceeds padded length {padded_len} (axis {length_axis})"
         )
+    rows = _rows(x.data)
 
-    seqs = x.data.reshape(-1, length, c_in)
-    if pad_left or pad_right:
-        padded = np.zeros((seqs.shape[0], padded_len, c_in))
-        padded[:, pad_left:pad_left + length] = seqs
-    else:
-        padded = seqs
-    cols = np.empty((seqs.shape[0], out_len, k * c_in))
+    if k == 1:
+        weight = kernel.data[0]
+
+        def bw(g):
+            g2 = _rows(g)
+            _accumulate(kernel, (rows.T @ g2)[None])
+            _accumulate(bias, g2.sum(axis=0))
+            if x.requires_grad:
+                _accumulate(x, (g2 @ weight.T).reshape(x.data.shape))
+
+        out = rows @ weight
+        out += bias.data
+        return _node(out.reshape(lead + (length, c_out)), (x, kernel, bias), bw)
+
+    # Output position t of tap j reads input position t + j - pad_left; each
+    # tap covers the output span [lo, hi) whose reads fall inside the sequence.
+    seqs = math.prod(lead)
+    spans = []
     for j in range(k):
-        cols[:, :, j * c_in:(j + 1) * c_in] = padded[:, j:j + out_len]
-    cols = _rows(cols)
-    w2d = kernel.data.reshape(k * c_in, c_out)
-    out = (cols @ w2d + bias.data).reshape(lead + (out_len, c_out))
+        shift = j - pad_left
+        lo, hi = max(0, -shift), min(out_len, length - shift)
+        if lo < hi:
+            spans.append((j, shift, lo, hi))
+    taps = np.matmul(rows, kernel.data).reshape(k, seqs, length, c_out)
+    out = np.empty((seqs, out_len, c_out))
+    out[...] = bias.data
+    for j, shift, lo, hi in spans:
+        out[:, lo:hi] += taps[j, :, lo + shift:hi + shift]
 
     def bw(g):
-        g2 = _rows(g)
-        _accumulate(kernel, (cols.T @ g2).reshape(kernel.data.shape))
-        _accumulate(bias, g2.sum(axis=0))
+        g3 = g.reshape(seqs, out_len, c_out)
+        shifted = np.zeros((k, seqs, length, c_out))
+        for j, shift, lo, hi in spans:
+            shifted[j, :, lo + shift:hi + shift] = g3[:, lo:hi]
+        shifted = shifted.reshape(k, seqs * length, c_out)
+        _accumulate(kernel, np.matmul(rows.T, shifted))
+        _accumulate(bias, _rows(g).sum(axis=0))
         if x.requires_grad:
-            dcols = (g2 @ w2d.T).reshape(-1, out_len, k * c_in)
-            dpadded = np.zeros_like(padded)
-            for j in range(k):
-                dpadded[:, j:j + out_len] += dcols[:, :, j * c_in:(j + 1) * c_in]
-            _accumulate(x, dpadded[:, pad_left:pad_left + length].reshape(x.data.shape))
+            dx = shifted[0] @ kernel.data[0].T
+            term = np.empty_like(dx)
+            for j in range(1, k):
+                dx += np.matmul(shifted[j], kernel.data[j].T, out=term)
+            _accumulate(x, dx.reshape(x.data.shape))
 
-    return _node(out, (x, kernel, bias), bw)
+    return _node(out.reshape(lead + (out_len, c_out)), (x, kernel, bias), bw)
 
 
 # ---------------------------------------------------------------------------

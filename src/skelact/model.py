@@ -294,7 +294,7 @@ def rgb_branch(features, params):
 
 
 def late_fuse_and_classify(pose_out, rgb_out, params):
-    """Fuse branch sequences, pool over time, classify; returns probabilities.
+    """Fuse branch sequences, pool over time, classify; returns class logits.
 
     Branch outputs are [T', 2H] or batches [B, T', 2H]; the result is [C] or [B, C].
     """
@@ -305,14 +305,15 @@ def late_fuse_and_classify(pose_out, rgb_out, params):
     pooled = ad.global_avg_pool(fused)
     rows = ad.reshape(pooled, (-1, pooled.data.shape[-1]))
     logits = ad.dense(rows, params.classifier_w, params.classifier_b)
-    return ad.reshape(ad.softmax(logits), pooled.data.shape[:-1] + (params.dims.num_classes,))
+    return ad.reshape(logits, pooled.data.shape[:-1] + (params.dims.num_classes,))
 
 
-def forward(params, pose=None, features=None):
+def forward(params, pose=None, features=None, logits=False):
     """Full variant forward to class probabilities: [C] for one sample, [B, C] for a batch.
 
     pose is [T, J, D] or [B, T, J, D] and features [T, W] or [B, T, W]; with
-    both branches, both inputs have the same leading axes.
+    both branches, both inputs have the same leading axes. With logits=True
+    the result is the pre-softmax class scores, which the training loss reads.
     """
     pose_out = None
     rgb_out = None
@@ -324,7 +325,8 @@ def forward(params, pose=None, features=None):
         if features is None:
             raise ContractError("variant requires RGB features")
         rgb_out = rgb_branch(features, params)
-    return late_fuse_and_classify(pose_out, rgb_out, params)
+    scores = late_fuse_and_classify(pose_out, rgb_out, params)
+    return scores if logits else ad.softmax(scores)
 
 
 # ---------------------------------------------------------------------------

@@ -20,24 +20,16 @@ DEFAULT_LR = {"adam": 1e-3, "sgd": 0.1}
 EVAL_CHUNK = 16  # clips per forward pass in evaluate()
 
 
-def cross_entropy(probs, label):
-    """-log(probs[label]) with the probability clamped at 1e-12.
+def cross_entropy(logits, label):
+    """Softmax cross-entropy of class logits [C] against a label, through log-softmax.
 
-    For a batch, probs [B, C] and labels [B], the mean over the batch.
+    For a batch, logits [B, C] and labels [B], the mean over the batch.
     """
-    if probs.data.ndim not in (1, 2):
+    if logits.data.ndim not in (1, 2):
         raise ContractError(
-            f"cross_entropy expects a probability vector or a batch of them, got shape {probs.data.shape}"
+            f"cross_entropy expects a logit vector or a batch of them, got shape {logits.data.shape}"
         )
-    labels = np.asarray(label)
-    if labels.shape != probs.data.shape[:-1]:
-        raise ContractError(f"{labels.size} labels for probabilities of shape {probs.data.shape}")
-    classes = probs.data.shape[-1]
-    for value in labels.reshape(-1):
-        if not 0 <= int(value) < classes:
-            raise ContractError(f"label {int(value)} outside [0, {classes})")
-    log_probs = ad.log(ad.clamp_min(ad.pick(probs, labels), 1e-12))
-    return ad.scale(ad.sum_all(log_probs), -1.0 / labels.size)
+    return ad.softmax_cross_entropy(logits, label)
 
 
 @dataclass
@@ -194,7 +186,7 @@ def _check_clips(params, dataset, indices):
 
 
 def _batch_forward(params, dataset, indices):
-    """Class probabilities [B, C] and labels [B] for the clips at `indices`, stacked once."""
+    """Class logits [B, C] and labels [B] for the clips at `indices`, stacked once."""
     samples = [dataset[idx] for idx in indices]
     pose = features = None
     if params.pose is not None:
@@ -202,7 +194,7 @@ def _batch_forward(params, dataset, indices):
     if params.rgb is not None:
         features = ad.Tensor(np.stack([s.features for s in samples]))
     labels = np.array([s.label for s in samples])
-    return forward(params, pose=pose, features=features), labels
+    return forward(params, pose=pose, features=features, logits=True), labels
 
 
 def _split_metrics(params, dataset, indices, batch_size):
@@ -212,9 +204,9 @@ def _split_metrics(params, dataset, indices, batch_size):
     with ad.no_grad():
         for start in range(0, len(indices), batch_size):
             chunk = indices[start:start + batch_size]
-            probs, labels = _batch_forward(params, dataset, chunk)
-            losses += float(cross_entropy(probs, labels).data) * len(chunk)
-            correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
+            logits, labels = _batch_forward(params, dataset, chunk)
+            losses += float(cross_entropy(logits, labels).data) * len(chunk)
+            correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
     n = max(1, len(indices))
     return losses / n, 100.0 * correct / n
 
@@ -273,15 +265,15 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
         epoch_correct = 0
         for step, start in enumerate(range(0, len(epoch_order), config.batch_size), start=1):
             batch = epoch_order[start:start + config.batch_size]
-            probs, labels = _batch_forward(params, dataset, batch)
-            loss = cross_entropy(probs, labels)
+            logits, labels = _batch_forward(params, dataset, batch)
+            loss = cross_entropy(logits, labels)
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise ContractError(
                     _non_finite_message(params, loss_value, epoch, step, optimizer.steps + 1)
                 )
             epoch_loss += loss_value * len(batch)
-            epoch_correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
+            epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
             # The previous step's gradients are cleared only now: the report
             # above can name them, and this step's backward reuses their freed
             # memory (clearing them before the forward measured 5x the page
@@ -332,7 +324,7 @@ def evaluate(dataset, params):
     with ad.no_grad():
         for start in range(0, len(dataset), EVAL_CHUNK):
             chunk = range(start, min(start + EVAL_CHUNK, len(dataset)))
-            probs, labels = _batch_forward(params, dataset, chunk)
-            np.add.at(confusion, (labels, np.argmax(probs.data, axis=-1)), 1)
+            logits, labels = _batch_forward(params, dataset, chunk)
+            np.add.at(confusion, (labels, np.argmax(logits.data, axis=-1)), 1)
     accuracy = 100.0 * np.trace(confusion) / len(dataset)
     return accuracy, confusion

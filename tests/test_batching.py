@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skelact.autodiff as ad
+from skelact import recurrent
 from skelact.model import ModelDims, build_variant, forward, variant_config
 from skelact.recurrent import init_lstm_params, lstm_forward
 from skelact.streams import StreamConfig
@@ -59,11 +60,12 @@ def clip_inputs(dims, branch, rng, count):
     return (pose if branch != "rgb" else None), (features if branch != "pose" else None)
 
 
-def model_probs(params, pose, features):
+def model_logits(params, pose, features):
     return forward(
         params,
         pose=None if pose is None else ad.Tensor(pose),
         features=None if features is None else ad.Tensor(features),
+        logits=True,
     )
 
 
@@ -78,18 +80,18 @@ def test_batch_matches_per_clip_forward_and_mean_gradient(variant, branch):
     labels = np.array([0, 3, 1])
 
     params.zero_grads()
-    probs = model_probs(params, pose, features)
-    assert probs.data.shape == (3, dims.num_classes)
-    ad.backward(cross_entropy(probs, labels))
+    logits = model_logits(params, pose, features)
+    assert logits.data.shape == (3, dims.num_classes)
+    ad.backward(cross_entropy(logits, labels))
     batch_grads = {name: t.grad.copy() for name, t in params.named_parameters()}
 
     mean_grads = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
     for i in range(3):
         params.zero_grads()
-        clip = model_probs(params, None if pose is None else pose[i],
-                           None if features is None else features[i])
+        clip = model_logits(params, None if pose is None else pose[i],
+                            None if features is None else features[i])
         assert clip.data.shape == (dims.num_classes,)
-        np.testing.assert_allclose(probs.data[i], clip.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits.data[i], clip.data, rtol=0, atol=1e-12)
         ad.backward(cross_entropy(clip, labels[i]))
         for name, t in params.named_parameters():
             mean_grads[name] += t.grad / 3
@@ -99,11 +101,43 @@ def test_batch_matches_per_clip_forward_and_mean_gradient(variant, branch):
 
 
 def test_batched_cross_entropy_is_the_mean_of_clip_losses():
-    probs = np.array([[0.2, 0.8], [0.6, 0.4], [1.0, 0.0]])
+    logits = np.array([[0.2, 0.8], [0.6, 0.4], [40.0, 0.0]])
     labels = np.array([1, 0, 1])
-    batched = float(cross_entropy(ad.Tensor(probs), labels).data)
-    clips = [float(cross_entropy(ad.Tensor(p), y).data) for p, y in zip(probs, labels)]
+    batched = float(cross_entropy(ad.Tensor(logits), labels).data)
+    clips = [float(cross_entropy(ad.Tensor(z), y).data) for z, y in zip(logits, labels)]
     assert batched == pytest.approx(np.mean(clips), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# gradients are handed off without copies
+
+
+@pytest.mark.parametrize("branch", ["pose", "both"])
+def test_backward_never_writes_a_handed_off_gradient(branch, monkeypatch):
+    """Every array passed to _accumulate still holds its values when backward
+    returns, and no two parameters' .grad share memory."""
+    handed = []
+    accumulate = ad._accumulate
+
+    def recording(t, g):
+        handed.append((g, np.array(g, copy=True)))
+        accumulate(t, g)
+
+    # recurrent binds the name at import, so it is wrapped there as well
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    monkeypatch.setattr(recurrent, "_accumulate", recording)
+    dims = small_dims()
+    params = build_variant(variant_config("full", branch=branch), dims, seed=8)
+    pose, features = clip_inputs(dims, branch, np.random.default_rng(9), 3)
+    ad.backward(cross_entropy(model_logits(params, pose, features), np.array([2, 0, 1])))
+
+    assert len(handed) > len(params.tensors())
+    for index, (g, snapshot) in enumerate(handed):
+        np.testing.assert_array_equal(g, snapshot, err_msg=f"hand-off {index} was written after it")
+    named = list(params.named_parameters())
+    for i, (name, t) in enumerate(named):
+        for other, u in named[i + 1:]:
+            assert not np.shares_memory(t.grad, u.grad), f"{name} and {other} share a gradient"
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,29 @@ def test_non_finite_loss_exits_1_without_checkpoint(tmp_path):
     assert not ckpt.exists() and not (tmp_path / "x.ckpt.best").exists()
 
 
+def test_confidently_wrong_run_reports_its_true_loss(workspace, tmp_path):
+    # After one SGD step at lr=1e6 the baseline is confidently wrong on its
+    # validation clips. A clamped probability would pin the loss at
+    # -log(1e-12) = 13.815511 with a zero gradient; the logits-first loss
+    # reads the true size and keeps moving, or training stops non-finite.
+    config = tmp_path / "huge-lr.cfg"
+    config.write_text("optimizer=sgd\nlr=1e6\nepochs=2\n")
+    ckpt = tmp_path / "x.ckpt"
+    result = run_cli(
+        "train", "--data", str(workspace / "data"), "--variant", "baseline",
+        "--config", str(config), "--out", str(ckpt),
+    )
+    if result.returncode == 1:
+        assert "non-finite training loss" in result.stderr
+        assert not ckpt.exists()
+        return
+    assert result.returncode == 0, result.stderr
+    assert "loss=13.815511" not in result.stdout
+    val = [float(line.split("loss=")[1].split()[0])
+           for line in result.stdout.splitlines() if "split=val" in line]
+    assert len(val) == 2 and val[0] != val[1]
+
+
 def test_ablate_table_and_determinism(workspace):
     args = (
         "ablate", "--data", str(workspace / "data"),

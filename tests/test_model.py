@@ -83,10 +83,13 @@ def test_forward_probability_vector():
     dims = tiny_dims(num_classes=7)
     params = build_variant(variant_config("full", branch="both"), dims, seed=3)
     rng = np.random.default_rng(3)
-    probs = forward(params, pose=random_pose(rng, dims), features=random_features(rng, dims))
+    pose, features = random_pose(rng, dims), random_features(rng, dims)
+    probs = forward(params, pose=pose, features=features)
     assert probs.data.shape == (7,)
     assert abs(probs.data.sum() - 1.0) < 1e-12
     assert (probs.data > 0).all()
+    logits = forward(params, pose=pose, features=features, logits=True)
+    np.testing.assert_array_equal(ad.softmax(logits).data, probs.data)
 
 
 def test_late_fuse_time_axis_shapes():
@@ -94,8 +97,9 @@ def test_late_fuse_time_axis_shapes():
     params = build_variant(variant_config("baseline", branch="both"), dims, seed=4)
     pose_out = ad.Tensor(np.random.default_rng(4).normal(size=(11, 4)))
     rgb_out = ad.Tensor(np.random.default_rng(5).normal(size=(3, 4)))
-    probs = late_fuse_and_classify(pose_out, rgb_out, params)
-    assert probs.data.shape == (2,)
+    logits = late_fuse_and_classify(pose_out, rgb_out, params)
+    assert logits.data.shape == (2,)
+    probs = ad.softmax(logits)
     assert abs(probs.data.sum() - 1.0) < 1e-12
 
 
@@ -245,8 +249,7 @@ def test_gradient_check_every_parameter_group():
     features = ad.Tensor(rng.normal(size=(dims.frames, dims.rgb_width)))
 
     def loss_fn(_):
-        probs = forward(params, pose=pose, features=features)
-        return cross_entropy(probs, 1)
+        return cross_entropy(forward(params, pose=pose, features=features, logits=True), 1)
 
     worst = ("", 0.0)
     for name, tensor in params.named_parameters():
@@ -265,10 +268,10 @@ def test_gradient_check_inputs():
     features = ad.Tensor(rng.normal(size=(dims.frames, dims.rgb_width)))
 
     def loss_via_pose(p):
-        return cross_entropy(forward(params, pose=p, features=features), 0)
+        return cross_entropy(forward(params, pose=p, features=features, logits=True), 0)
 
     def loss_via_features(f):
-        return cross_entropy(forward(params, pose=pose, features=f), 0)
+        return cross_entropy(forward(params, pose=pose, features=f, logits=True), 0)
 
     assert ad.gradient_check(loss_via_pose, pose) < 1e-4
     assert ad.gradient_check(loss_via_features, features) < 1e-4

@@ -61,41 +61,46 @@ def param_tensor(values):
 
 
 def test_cross_entropy_perfect_prediction():
-    probs = ad.Tensor(np.array([0.0, 1.0, 0.0]))
-    assert float(cross_entropy(probs, 1).data) == 0.0
+    logits = ad.Tensor(np.array([-800.0, 800.0, -800.0]))
+    assert float(cross_entropy(logits, 1).data) == 0.0
 
 
 def test_cross_entropy_uniform():
-    probs = ad.Tensor(np.full(5, 0.2))
-    assert abs(float(cross_entropy(probs, 3).data) - math.log(5)) < 1e-12
+    logits = ad.Tensor(np.full(5, 3.0))
+    assert abs(float(cross_entropy(logits, 3).data) - math.log(5)) < 1e-12
 
 
 def test_cross_entropy_closed_form():
-    probs = ad.Tensor(np.array([0.25, 0.75]))
-    assert abs(float(cross_entropy(probs, 1).data) + math.log(0.75)) < 1e-12
+    logits = ad.Tensor(np.log([0.25, 0.75]))
+    assert abs(float(cross_entropy(logits, 1).data) + math.log(0.75)) < 1e-12
 
 
-def test_cross_entropy_clamps_zero_probability():
-    probs = ad.Tensor(np.array([1.0, 0.0]))
-    loss = float(cross_entropy(probs, 1).data)
-    assert abs(loss + math.log(1e-12)) < 1e-9
+def test_cross_entropy_confidently_wrong_keeps_its_gradient():
+    # a probability clamped at 1e-12 would give loss 27.6 and a zero gradient here
+    logits = ad.Tensor(np.array([0.0, 40.0]), requires_grad=True)
+    loss = cross_entropy(logits, 0)
+    assert float(loss.data) == pytest.approx(40.0, rel=1e-15)
+    ad.backward(loss)
+    np.testing.assert_allclose(logits.grad, [-1.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_cross_entropy_rejects_bad_label():
-    probs = ad.Tensor(np.full(4, 0.25))
+    logits = ad.Tensor(np.zeros(4))
     with pytest.raises(ContractError):
-        cross_entropy(probs, 4)
+        cross_entropy(logits, 4)
     with pytest.raises(ContractError):
-        cross_entropy(probs, -1)
+        cross_entropy(logits, -1)
+    with pytest.raises(ContractError):
+        cross_entropy(ad.Tensor(np.zeros((2, 2, 4))), np.zeros((2, 2), dtype=int))
 
 
 def test_cross_entropy_gradient():
-    probs_data = np.array([0.1, 0.6, 0.3])
+    logits = np.array([[0.1, -1.6, 0.3], [2.0, 0.5, -0.7]])
 
     def f(x):
-        return cross_entropy(x, 1)
+        return cross_entropy(x, [1, 0])
 
-    assert ad.gradient_check(f, ad.Tensor(probs_data.copy())) < 1e-6
+    assert ad.gradient_check(f, ad.Tensor(logits)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +372,8 @@ def test_loss_decreases_over_first_five_full_batch_steps():
 
     for _ in range(5):
         params.zero_grads()
-        probs, labels = _batch_forward(params, dataset, range(len(dataset)))
-        loss = cross_entropy(probs, labels)
+        logits, labels = _batch_forward(params, dataset, range(len(dataset)))
+        loss = cross_entropy(logits, labels)
         ad.backward(loss)
         losses.append(float(loss.data))
         opt.step()
