@@ -58,21 +58,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def backward(self):
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

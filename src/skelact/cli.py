@@ -14,10 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
-from .attention import init_attention_params, multi_head_self_attention
+from . import verify
 from .data import (
     Sample,
     SyntheticSpec,
@@ -30,31 +27,9 @@ from .data import (
     write_skeleton_file,
 )
 from .errors import ContractError
-from .model import (
-    ModelDims,
-    build_variant,
-    forward,
-    load_checkpoint,
-    variant_config,
-)
-from .recurrent import bilstm, init_lstm_params, lstm_forward
-from .streams import (
-    StreamConfig,
-    init_conv_stack,
-    init_stream_params,
-    seu_encode,
-    stream_forward,
-    teu_encode,
-)
-from .training import TrainConfig, cross_entropy, evaluate, train
+from .model import ModelDims, build_variant, load_checkpoint, variant_config
+from .training import TrainConfig, evaluate, train
 
-GRADCHECK_THRESHOLD = 1e-4
-# smooth activations: finite differences are invalid at relu kinks
-GRADCHECK_STREAM = StreamConfig(
-    seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4),
-    seu_kernels=(1, 1, 1), teu_kernels=(3, 3, 3), post_kernels=(3, 3, 3),
-    channel_dim=4, activations=("tanh", "sigmoid", "linear"),
-)
 ABLATION_ROWS = [
     ("Baseline", "baseline"),
     ("+ SEU", "seu"),
@@ -151,11 +126,15 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
     return samples, joints_eff, num_classes
 
 
-def _dims_for_dataset(samples, joints_eff, num_classes):
+def _branch_dataset(args):
+    """The samples of `args.data` that `args.branch` reads, and the model dims they imply."""
+    need_pose = args.branch in ("pose", "both")
+    need_rgb = args.branch in ("rgb", "both")
+    samples, joints_eff, num_classes = load_dataset_dir(args.data, need_pose, need_rgb)
     kwargs = dict(num_classes=num_classes)
     if joints_eff is not None:
         kwargs["joints"] = joints_eff
-    return ModelDims(**kwargs)
+    return samples, ModelDims(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +186,7 @@ def _resolve_train_config(args):
 def cmd_train(args):
     config = _resolve_train_config(args)
     ablation = variant_config(args.variant, branch=args.branch)
-    need_pose = args.branch in ("pose", "both")
-    need_rgb = args.branch in ("rgb", "both")
-    samples, joints_eff, num_classes = load_dataset_dir(args.data, need_pose, need_rgb)
-    dims = _dims_for_dataset(samples, joints_eff, num_classes)
+    samples, dims = _branch_dataset(args)
     params = build_variant(ablation, dims, seed=config.seed)
     log_path = Path(str(args.out) + ".log")
     with open(log_path, "w") as log_file:
@@ -239,10 +215,7 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     config = _resolve_train_config(args)
-    need_pose = args.branch in ("pose", "both")
-    need_rgb = args.branch in ("rgb", "both")
-    samples, joints_eff, num_classes = load_dataset_dir(args.data, need_pose, need_rgb)
-    dims = _dims_for_dataset(samples, joints_eff, num_classes)
+    samples, dims = _branch_dataset(args)
     rows = []
     for label, variant in ABLATION_ROWS:
         params = build_variant(variant_config(variant, branch=args.branch), dims, seed=config.seed)
@@ -283,191 +256,9 @@ def cmd_inspect(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def _away_from_kinks(rng, shape, low=0.2, high=1.5):
-    signs = rng.choice([-1.0, 1.0], size=shape)
-    return rng.uniform(low, high, size=shape) * signs
-
-
-def _scalarize(out):
-    return out if out.data.size == 1 else ad.sum_all(out)
-
-
-def _gradcheck_ops(seed):
-    rng = np.random.default_rng(seed)
-    results = []
-
-    def check(name, f, data):
-        results.append((name, ad.gradient_check(f, ad.Tensor(np.array(data, dtype=np.float64)))))
-
-    def probe(*shape):
-        # non-uniform cotangent so structural mistakes cannot cancel out
-        return ad.Tensor(rng.normal(size=shape))
-
-    x45 = rng.normal(size=(4, 5))
-    other = probe(4, 5)
-    check("add", lambda t: _scalarize(ad.mul(ad.add(t, other), other)), x45)
-    check("mul", lambda t: _scalarize(ad.mul(t, other)), x45)
-    check("relu", lambda t: _scalarize(ad.mul(ad.relu(t), other)), _away_from_kinks(rng, (4, 5)))
-    check("sigmoid", lambda t: _scalarize(ad.mul(ad.sigmoid(t), other)), x45)
-    check("tanh", lambda t: _scalarize(ad.mul(ad.tanh(t), other)), x45)
-    check("scale", lambda t: _scalarize(ad.mul(ad.scale(t, -1.7), other)), x45)
-    c54 = probe(5, 4)
-    check("reshape", lambda t: _scalarize(ad.mul(ad.reshape(t, (5, 4)), c54)), x45)
-    check("transpose", lambda t: _scalarize(ad.mul(ad.transpose(t), c54)), x45)
-    check("reverse_rows", lambda t: _scalarize(ad.mul(ad.reverse_rows(t), other)), x45)
-    c85 = probe(8, 5)
-    check("concat", lambda t: _scalarize(ad.mul(ad.concat([t, other], axis=0), c85)), x45)
-    check("sum_all", lambda t: ad.sum_all(ad.mul(t, other)), x45)
-    check("pick", lambda t: ad.pick(t, 2), rng.normal(size=6))
-    c5 = probe(5)
-    check("global_avg_pool", lambda t: _scalarize(ad.mul(ad.global_avg_pool(t), c5)), x45)
-    mat = probe(5, 3)
-    c43 = probe(4, 3)
-    check("matmul", lambda t: _scalarize(ad.mul(ad.matmul(t, mat), c43)), x45)
-    bias = probe(3)
-    check("dense", lambda t: _scalarize(ad.mul(ad.dense(t, mat, bias), c43)), x45)
-    check("softmax", lambda t: ad.pick(ad.reshape(ad.softmax(t), (20,)), 7), x45)
-    gain = probe(5)
-    shift = probe(5)
-    check("layer_norm", lambda t: _scalarize(ad.mul(ad.layer_norm(t, gain, shift), other)), x45)
-    kernel = probe(3, 5, 2)
-    kbias = probe(2)
-    c42 = probe(4, 2)
-    c22 = probe(2, 2)
-    check("conv1d_same", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="same"), c42)), x45)
-    check("conv1d_valid", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="valid"), c22)), x45)
-    # K=1 is a plain GEMM and even K shifts asymmetrically: distinct code paths
-    kernels = {width: probe(width, 5, 2) for width in (1, 2, 4)}
-    check("conv1d_k1", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernels[1], kbias), c42)), x45)
-    for width in (2, 4):
-        check(f"conv1d_even_same_k{width}",
-              lambda t, w=kernels[width]: _scalarize(ad.mul(ad.conv1d(t, w, kbias, padding="same"), c42)), x45)
-
-    # leading batch axes: each op maps every [4, 5] slice of a [2, 4, 5] batch
-    x245 = rng.normal(size=(2, 4, 5))
-    b245 = probe(2, 4, 5)
-    b242 = probe(2, 4, 2)
-    b222 = probe(2, 2, 2)
-    check("batched.conv1d_same",
-          lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="same"), b242)), x245)
-    check("batched.conv1d_valid",
-          lambda t: _scalarize(ad.mul(ad.conv1d(t, kernel, kbias, padding="valid"), b222)), x245)
-    check("batched.conv1d_k1", lambda t: _scalarize(ad.mul(ad.conv1d(t, kernels[1], kbias), b242)), x245)
-    for width in (2, 4):
-        check(f"batched.conv1d_even_same_k{width}",
-              lambda t, w=kernels[width]: _scalarize(ad.mul(ad.conv1d(t, w, kbias, padding="same"), b242)),
-              x245)
-    check("batched.layer_norm", lambda t: _scalarize(ad.mul(ad.layer_norm(t, gain, shift), b245)), x245)
-    check("batched.softmax", lambda t: _scalarize(ad.mul(ad.softmax(t), b245)), x245)
-    b254 = probe(2, 5, 4)
-    check("batched.transpose", lambda t: _scalarize(ad.mul(ad.transpose(t), b254)), x245)
-    b425 = probe(4, 2, 5)
-    check("batched.transpose_heads",
-          lambda t: _scalarize(ad.mul(ad.transpose(t, -3, -2), b425)), x245)
-    b25 = probe(2, 5)
-    check("batched.global_avg_pool", lambda t: _scalarize(ad.mul(ad.global_avg_pool(t), b25)), x245)
-    return results
-
-
-def _gradcheck_modules(seed):
-    rng = np.random.default_rng(seed)
-    results = []
-
-    attn = init_attention_params(np.random.default_rng([seed, 101]), 6, heads=2)
-    x = ad.Tensor(rng.normal(size=(5, 6)))
-    attn_probe = ad.Tensor(rng.normal(size=(5, 6)))
-
-    def attn_loss(_):
-        return ad.sum_all(ad.mul(multi_head_self_attention(x, attn), attn_probe))
-
-    results.append(("attention.input", ad.gradient_check(lambda t: ad.sum_all(
-        ad.mul(multi_head_self_attention(t, attn), attn_probe)), x)))
-    for name, tensor in attn.named():
-        results.append((f"attention.{name}", ad.gradient_check(attn_loss, tensor)))
-
-    fwd = init_lstm_params(np.random.default_rng([seed, 102]), 3, 2)
-    bwd = init_lstm_params(np.random.default_rng([seed, 103]), 3, 2)
-    seq = ad.Tensor(rng.normal(size=(6, 3)))
-    lstm_probe = ad.Tensor(rng.normal(size=(6, 2)))
-    bilstm_probe = ad.Tensor(rng.normal(size=(6, 4)))
-
-    def lstm_loss(_):
-        return ad.sum_all(ad.mul(lstm_forward(seq, fwd), lstm_probe))
-
-    def bilstm_loss(_):
-        return ad.sum_all(ad.mul(bilstm(seq, fwd, bwd), bilstm_probe))
-
-    results.append(("lstm.input", ad.gradient_check(lambda t: ad.sum_all(
-        ad.mul(lstm_forward(t, fwd), lstm_probe)), seq)))
-    for name, tensor in fwd.named():
-        results.append((f"lstm.{name}", ad.gradient_check(lstm_loss, tensor)))
-    for direction, p in (("fwd", fwd), ("bwd", bwd)):
-        for name, tensor in p.named():
-            results.append((f"bilstm.{direction}.{name}", ad.gradient_check(bilstm_loss, tensor)))
-
-    cfg = GRADCHECK_STREAM
-    pose = ad.Tensor(rng.normal(size=(4, 3, 2)))
-    enc = init_conv_stack(np.random.default_rng([seed, 104]), 2, cfg.seu_filters, cfg.seu_kernels)
-    stream = init_stream_params(np.random.default_rng([seed, 105]), 3 * 2, cfg)
-    stream_probe = ad.Tensor(rng.normal(size=(4, 4)))
-
-    def seu_loss(_):
-        encoded = seu_encode(pose, enc, cfg.activations)
-        return ad.sum_all(ad.mul(stream_forward(encoded, stream), stream_probe))
-
-    for idx, conv in enumerate(enc, start=1):
-        for leaf, tensor in conv.named():
-            results.append((f"streams.enc{idx}.{leaf}", ad.gradient_check(seu_loss, tensor)))
-    for name, tensor in stream.named():
-        results.append((f"streams.{name}", ad.gradient_check(seu_loss, tensor)))
-
-    tenc = init_conv_stack(np.random.default_rng([seed, 106]), 4, cfg.teu_filters, cfg.teu_kernels)
-    teu_probe = ad.Tensor(rng.normal(size=(2, 6)))
-
-    def teu_loss(_):
-        encoded = teu_encode(pose, tenc, cfg.activations)
-        return ad.sum_all(ad.mul(encoded, teu_probe))
-
-    for idx, conv in enumerate(tenc, start=1):
-        for leaf, tensor in conv.named():
-            results.append((f"streams.tenc{idx}.{leaf}", ad.gradient_check(teu_loss, tensor)))
-
-    logits = ad.Tensor(rng.normal(size=(3, 5)))
-    results.append(("loss.softmax_cross_entropy", ad.gradient_check(
-        lambda t: cross_entropy(t, [2, 0, 4]), logits)))
-    return results
-
-
-def _model_gradcheck_dims():
-    return ModelDims(
-        frames=4, joints=3, coords=3, rgb_width=8, hidden=4, num_classes=4,
-        heads=4, stream=GRADCHECK_STREAM,
-    )
-
-
-def _gradcheck_model(seed):
-    dims = _model_gradcheck_dims()
-    params = build_variant(variant_config("full", branch="both"), dims, seed=seed)
-    rng = np.random.default_rng(seed)
-    # a batch of two clips with different labels, so the check covers the batch axis
-    pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, dims.coords)))
-    features = ad.Tensor(rng.normal(size=(2, dims.frames, dims.rgb_width)))
-    labels = np.array([1, 2])
-
-    def loss_fn(_):
-        return cross_entropy(forward(params, pose=pose, features=features, logits=True), labels)
-
-    return [(name, ad.gradient_check(loss_fn, tensor)) for name, tensor in params.named_parameters()]
-
-
 def cmd_gradcheck(args):
-    suites = {"op": _gradcheck_ops, "module": _gradcheck_modules, "model": _gradcheck_model}
-    results = suites[args.scope](args.seed)
-    failures = [(name, err) for name, err in results if not err < GRADCHECK_THRESHOLD]
+    results = verify.SUITES[args.scope](args.seed)
+    failures = [(name, err) for name, err in results if not err < verify.THRESHOLD]
     for name, err in results:
         print(f"component={name} max_rel_err={err:.3e}")
     worst_name, worst = max(results, key=lambda item: item[1])
@@ -476,7 +267,7 @@ def cmd_gradcheck(args):
           f"max_rel_err={worst:.3e} => {status}")
     if failures:
         for name, err in failures:
-            print(f"gradcheck failure: {name} max_rel_err={err:.3e} >= {GRADCHECK_THRESHOLD}",
+            print(f"gradcheck failure: {name} max_rel_err={err:.3e} >= {verify.THRESHOLD}",
                   file=sys.stderr)
         return 1
     return 0

@@ -26,6 +26,7 @@ from .streams import (
     fuse_pose_streams,
     init_conv_stack,
     init_stream_params,
+    named_conv_stack,
     plain_encode,
     seu_encode,
     stream_forward,
@@ -113,16 +114,11 @@ class ModelParams:
     classifier_b: "ad.Tensor"
 
     def named_parameters(self):
-        def conv_stack(prefix, layers):
-            for idx, conv in enumerate(layers, start=1):
-                for leaf, tensor in conv.named():
-                    yield f"{prefix}{idx}.{leaf}", tensor
-
         if self.pose is not None:
-            yield from conv_stack("pose.spatial.enc", self.pose.spatial_enc)
+            yield from named_conv_stack("pose.spatial.enc", self.pose.spatial_enc)
             for leaf, tensor in self.pose.spatial_stream.named():
                 yield f"pose.spatial.{leaf}", tensor
-            yield from conv_stack("pose.temporal.enc", self.pose.temporal_enc)
+            yield from named_conv_stack("pose.temporal.enc", self.pose.temporal_enc)
             for leaf, tensor in self.pose.temporal_stream.named():
                 yield f"pose.temporal.{leaf}", tensor
             if self.pose.attention is not None:

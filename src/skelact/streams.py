@@ -72,14 +72,19 @@ class StreamParams:
     activations: tuple = ("relu", "relu", "linear")
 
     def named(self):
-        for idx, conv in enumerate(self.post, start=1):
-            for leaf, tensor in conv.named():
-                yield f"post{idx}.{leaf}", tensor
+        yield from named_conv_stack("post", self.post)
         if self.proj is not None:
             for leaf, tensor in self.proj.named():
                 yield f"proj.{leaf}", tensor
         yield "ln.gain", self.ln_gain
         yield "ln.shift", self.ln_shift
+
+
+def named_conv_stack(prefix, layers):
+    """(name, tensor) leaves of a conv stack, layers numbered from 1: `{prefix}{i}.kernel`."""
+    for idx, conv in enumerate(layers, start=1):
+        for leaf, tensor in conv.named():
+            yield f"{prefix}{idx}.{leaf}", tensor
 
 
 def init_conv_params(rng, kernel_width, c_in, c_out):
@@ -111,13 +116,13 @@ def init_stream_params(rng, in_channels, config):
     )
 
 
-def apply_conv_stack(x, layers, activations, padding="same"):
+def apply_conv_stack(x, layers, activations):
     if len(layers) != len(activations):
         raise ContractError(
             f"{len(layers)} conv layers but {len(activations)} activations"
         )
     for conv, act in zip(layers, activations):
-        x = _ACTIVATIONS[act](ad.conv1d(x, conv.kernel, conv.bias, padding=padding))
+        x = _ACTIVATIONS[act](ad.conv1d(x, conv.kernel, conv.bias))
     return x
 
 
@@ -145,7 +150,7 @@ def seu_encode(pose, layers, activations=("relu", "relu", "linear")):
     return ad.reshape(encoded, (*lead, t_len, joints * filters))
 
 
-def teu_encode(pose, layers, activations=("relu", "relu", "linear"), padding="same"):
+def teu_encode(pose, layers, activations=("relu", "relu", "linear")):
     """Conv along the trajectory axis with time samples as channels, then transpose.
 
     [..., T, J, D] -> trajectories [..., J*D, T] -> conv stack -> [..., J*D, F]
@@ -153,7 +158,7 @@ def teu_encode(pose, layers, activations=("relu", "relu", "linear"), padding="sa
     """
     _check_pose(pose)
     trajectories = ad.transpose(_frames_as_rows(pose))
-    encoded = apply_conv_stack(trajectories, layers, activations, padding=padding)
+    encoded = apply_conv_stack(trajectories, layers, activations)
     return ad.transpose(encoded)
 
 

@@ -1,0 +1,165 @@
+"""Finite-difference gradient suites: every primitive, every module, the whole model.
+
+Each suite maps a seed to a list of (component name, max relative error)
+pairs; `skelact gradcheck --scope {op,module,model}` prints them and fails
+any at or above `THRESHOLD`. The tests build their checks from the same
+two helpers, `probed` and `check_named`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import autodiff as ad
+from .attention import init_attention_params, multi_head_self_attention
+from .model import ModelDims, build_variant, forward, variant_config
+from .recurrent import bilstm, init_lstm_params, lstm_forward
+from .streams import (
+    StreamConfig,
+    init_conv_stack,
+    init_stream_params,
+    named_conv_stack,
+    seu_encode,
+    stream_forward,
+    teu_encode,
+)
+from .training import cross_entropy
+
+THRESHOLD = 1e-4
+# smooth activations: finite differences are invalid at relu kinks
+SMOOTH_STREAM = StreamConfig(
+    seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4),
+    seu_kernels=(1, 1, 1), teu_kernels=(3, 3, 3), post_kernels=(3, 3, 3),
+    channel_dim=4, activations=("tanh", "sigmoid", "linear"),
+)
+# ops also checked on a leading batch axis, each mapping every [4, 5] slice of a [2, 4, 5] input
+BATCHED = (
+    "conv1d_same", "conv1d_valid", "conv1d_k1", "conv1d_even_same_k2", "conv1d_even_same_k4",
+    "layer_norm", "softmax", "transpose", "transpose_heads", "global_avg_pool",
+)
+
+
+def _away_from_kinks(rng, shape, low=0.2, high=1.5):
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    return rng.uniform(low, high, size=shape) * signs
+
+
+def probed(rng, f, x):
+    """`t -> sum(f(t) * probe)` with one fixed normal probe shaped like `f(x)`.
+
+    A non-uniform cotangent keeps structural mistakes from cancelling out.
+    """
+    with ad.no_grad():
+        shape = f(x).data.shape
+    probe = ad.Tensor(rng.normal(size=shape))
+    return lambda t: ad.sum_all(ad.mul(f(t), probe))
+
+
+def check_named(prefix, loss_fn, named):
+    """Gradient-check `loss_fn` against each (name, tensor) leaf, as `prefix + name`."""
+    return [(prefix + name, ad.gradient_check(loss_fn, tensor)) for name, tensor in named]
+
+
+def op_suite(seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return ad.Tensor(rng.normal(size=shape))
+
+    other, mat, bias, gain, shift, kbias = draw(4, 5), draw(5, 3), draw(3), draw(5), draw(5), draw(2)
+    # K=1 is a plain GEMM and even K shifts asymmetrically: distinct code paths
+    kernels = {width: draw(width, 5, 2) for width in (1, 2, 3, 4)}
+    ops = {
+        "add": lambda t: ad.add(t, other),
+        "mul": lambda t: ad.mul(t, other),
+        "relu": ad.relu,
+        "sigmoid": ad.sigmoid,
+        "tanh": ad.tanh,
+        "scale": lambda t: ad.scale(t, -1.7),
+        "reshape": lambda t: ad.reshape(t, (5, 4)),
+        "transpose": ad.transpose,
+        "reverse_rows": ad.reverse_rows,
+        "concat": lambda t: ad.concat([t, other], axis=0),
+        "sum_all": ad.sum_all,
+        "pick": lambda t: ad.pick(t, [2, 0, 4, 1]),
+        "global_avg_pool": ad.global_avg_pool,
+        "matmul": lambda t: ad.matmul(t, mat),
+        "dense": lambda t: ad.dense(t, mat, bias),
+        "softmax": ad.softmax,
+        "layer_norm": lambda t: ad.layer_norm(t, gain, shift),
+        "conv1d_same": lambda t: ad.conv1d(t, kernels[3], kbias),
+        "conv1d_valid": lambda t: ad.conv1d(t, kernels[3], kbias, padding="valid"),
+        "conv1d_k1": lambda t: ad.conv1d(t, kernels[1], kbias),
+        "conv1d_even_same_k2": lambda t: ad.conv1d(t, kernels[2], kbias),
+        "conv1d_even_same_k4": lambda t: ad.conv1d(t, kernels[4], kbias),
+        # swaps axes -3 and -2, so it runs only on the batch
+        "transpose_heads": lambda t: ad.transpose(t, -3, -2),
+    }
+    x = ad.Tensor(_away_from_kinks(rng, (4, 5)))
+    batch = ad.Tensor(_away_from_kinks(rng, (2, 4, 5)))
+    cases = [(name, op, x) for name, op in ops.items() if name != "transpose_heads"]
+    cases += [(f"batched.{name}", ops[name], batch) for name in BATCHED]
+    return [(name, ad.gradient_check(probed(rng, op, t), t)) for name, op, t in cases]
+
+
+def module_suite(seed):
+    rng = np.random.default_rng(seed)
+
+    attn = init_attention_params(np.random.default_rng([seed, 101]), 6, heads=2)
+    x = ad.Tensor(rng.normal(size=(5, 6)))
+    attn_loss = probed(rng, lambda t: multi_head_self_attention(t, attn), x)
+    results = [("attention.input", ad.gradient_check(attn_loss, x))]
+    results += check_named("attention.", lambda _: attn_loss(x), attn.named())
+
+    fwd = init_lstm_params(np.random.default_rng([seed, 102]), 3, 2)
+    bwd = init_lstm_params(np.random.default_rng([seed, 103]), 3, 2)
+    seq = ad.Tensor(rng.normal(size=(6, 3)))
+    lstm_loss = probed(rng, lambda t: lstm_forward(t, fwd), seq)
+    bilstm_loss = probed(rng, lambda t: bilstm(t, fwd, bwd), seq)
+    results.append(("lstm.input", ad.gradient_check(lstm_loss, seq)))
+    results += check_named("lstm.", lambda _: lstm_loss(seq), fwd.named())
+    results += check_named("bilstm.fwd.", lambda _: bilstm_loss(seq), fwd.named())
+    results += check_named("bilstm.bwd.", lambda _: bilstm_loss(seq), bwd.named())
+
+    cfg = SMOOTH_STREAM
+    pose = ad.Tensor(rng.normal(size=(4, 3, 2)))
+    enc = init_conv_stack(np.random.default_rng([seed, 104]), 2, cfg.seu_filters, cfg.seu_kernels)
+    stream = init_stream_params(np.random.default_rng([seed, 105]), 3 * 2, cfg)
+    seu_loss = probed(rng, lambda t: stream_forward(seu_encode(t, enc, cfg.activations), stream), pose)
+    seu_named = [*named_conv_stack("enc", enc), *stream.named()]
+    results += check_named("streams.", lambda _: seu_loss(pose), seu_named)
+
+    tenc = init_conv_stack(np.random.default_rng([seed, 106]), 4, cfg.teu_filters, cfg.teu_kernels)
+    teu_loss = probed(rng, lambda t: teu_encode(t, tenc, cfg.activations), pose)
+    results += check_named("streams.", lambda _: teu_loss(pose), named_conv_stack("tenc", tenc))
+
+    logits = ad.Tensor(rng.normal(size=(3, 5)))
+    results.append(("loss.softmax_cross_entropy", ad.gradient_check(
+        lambda t: cross_entropy(t, [2, 0, 4]), logits)))
+    return results
+
+
+def model_dims():
+    """Tiny smooth dims for the model suite: every parameter group in seconds."""
+    return ModelDims(
+        frames=4, joints=3, coords=3, rgb_width=8, hidden=4, num_classes=4,
+        heads=4, stream=SMOOTH_STREAM,
+    )
+
+
+def model_suite(seed):
+    dims = model_dims()
+    params = build_variant(variant_config("full", branch="both"), dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    # a batch of two clips with different labels, so the check covers the batch axis
+    pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, dims.coords)))
+    features = ad.Tensor(rng.normal(size=(2, dims.frames, dims.rgb_width)))
+    labels = np.array([1, 2])
+
+    def loss_fn(_):
+        return cross_entropy(forward(params, pose=pose, features=features, logits=True), labels)
+
+    return check_named("", loss_fn, params.named_parameters())
+
+
+SUITES = {"op": op_suite, "module": module_suite, "model": model_suite}

@@ -13,7 +13,6 @@ import pytest
 
 import skelact.autodiff as ad
 from skelact.attention import init_attention_params, multi_head_self_attention
-from skelact.cli import _model_gradcheck_dims
 from skelact.data import (
     FEATURE_WIDTH,
     FrameFeatureSequence,
@@ -37,6 +36,7 @@ from skelact.model import (
 )
 from skelact.recurrent import bilstm, init_lstm_params
 from skelact.streams import init_conv_stack, seu_encode, teu_encode
+from skelact.verify import model_dims
 
 SINGLE_THREAD = {
     "OMP_NUM_THREADS": "1",
@@ -99,7 +99,7 @@ def test_gradient_integrity_model_scope():
     expected = {
         name
         for name, _ in build_variant(
-            variant_config("full", branch="both"), _model_gradcheck_dims(), seed=0
+            variant_config("full", branch="both"), model_dims(), seed=0
         ).named_parameters()
     }
     assert set(reported) == expected, "report must audit every parameter group"

@@ -9,6 +9,7 @@ from skelact.attention import (
     scaled_dot_attention,
 )
 from skelact.errors import ContractError, DimensionError
+from skelact.verify import check_named, probed
 
 
 def softmax_rows(x):
@@ -215,17 +216,10 @@ def test_gradients_pass_finite_differences():
     rng = np.random.default_rng(12)
     params = random_params(rng, 4, 2)
     x = ad.Tensor(rng.normal(size=(3, 4)))
-    readout = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-
-    def loss_wrt(t, role):
-        def f(t):
-            out = multi_head_self_attention(x if role != "x" else t, params)
-            return ad.sum_all(ad.mul(out, readout))
-        return f
-
-    assert ad.gradient_check(loss_wrt(x, "x"), x) < 1e-4
-    for _, w in params.named():
-        assert ad.gradient_check(loss_wrt(w, "w"), w) < 1e-4
+    loss = probed(rng, lambda t: multi_head_self_attention(t, params), x)
+    assert ad.gradient_check(loss, x) < 1e-4
+    for name, err in check_named("", lambda _: loss(x), params.named()):
+        assert err < 1e-4, name
 
 
 def test_init_is_seed_deterministic():

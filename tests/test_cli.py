@@ -208,10 +208,39 @@ def test_ablate_table_and_determinism(workspace):
     assert second.stdout == first.stdout
 
 
-def test_gradcheck_op_scope_passes():
-    result = run_cli("gradcheck", "--scope", "op", "--seed", "3")
+# every component each scope reports, frozen so no check drops out unnoticed
+GRADCHECK_COMPONENTS = {
+    "op": (
+        "add mul relu sigmoid tanh scale reshape transpose reverse_rows concat sum_all pick "
+        "global_avg_pool matmul dense softmax layer_norm conv1d_same conv1d_valid conv1d_k1 "
+        "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same batched.conv1d_valid "
+        "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "
+        "batched.layer_norm batched.softmax batched.transpose batched.transpose_heads "
+        "batched.global_avg_pool"
+    ).split(),
+    "module": (
+        "attention.input attention.wq attention.wk attention.wv attention.wo "
+        "lstm.input lstm.wx lstm.wh lstm.bias bilstm.fwd.wx bilstm.fwd.wh bilstm.fwd.bias "
+        "bilstm.bwd.wx bilstm.bwd.wh bilstm.bwd.bias streams.enc1.kernel streams.enc1.bias "
+        "streams.enc2.kernel streams.enc2.bias streams.enc3.kernel streams.enc3.bias "
+        "streams.post1.kernel streams.post1.bias streams.post2.kernel streams.post2.bias "
+        "streams.post3.kernel streams.post3.bias streams.proj.kernel streams.proj.bias "
+        "streams.ln.gain streams.ln.shift streams.tenc1.kernel streams.tenc1.bias "
+        "streams.tenc2.kernel streams.tenc2.bias streams.tenc3.kernel streams.tenc3.bias "
+        "loss.softmax_cross_entropy"
+    ).split(),
+}
+
+
+@pytest.mark.parametrize("scope", ["op", "module"])
+def test_gradcheck_scope_passes(scope):
+    result = run_cli("gradcheck", "--scope", scope, "--seed", "3")
     assert result.returncode == 0, result.stderr
-    assert "=> PASS" in result.stdout
+    *lines, summary = result.stdout.strip().split("\n")
+    names = [line.split()[0].removeprefix("component=") for line in lines]
+    assert names == GRADCHECK_COMPONENTS[scope]
+    assert summary.startswith(f"scope={scope} components={len(names)} ")
+    assert summary.endswith("=> PASS")
     assert result.stderr == ""
 
 

@@ -21,6 +21,7 @@ from skelact.model import (
 )
 from skelact.streams import StreamConfig
 from skelact.training import cross_entropy
+from skelact.verify import check_named
 
 
 def tiny_dims(activations=("relu", "relu", "linear"), **kw):
@@ -251,13 +252,8 @@ def test_gradient_check_every_parameter_group():
     def loss_fn(_):
         return cross_entropy(forward(params, pose=pose, features=features, logits=True), 1)
 
-    worst = ("", 0.0)
-    for name, tensor in params.named_parameters():
-        err = ad.gradient_check(loss_fn, tensor)
-        if err > worst[1]:
-            worst = (name, err)
+    for name, err in check_named("", loss_fn, params.named_parameters()):
         assert err < 1e-4, f"{name}: relative gradient error {err:.3e}"
-    assert worst[1] < 1e-4
 
 
 def test_gradient_check_inputs():

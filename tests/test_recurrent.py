@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from skelact import autodiff as ad
 from skelact.errors import DimensionError
 from skelact.recurrent import LstmParams, bilstm, init_lstm_params, lstm_forward
+from skelact.verify import check_named, probed
 
 
 def sigmoid(z):
@@ -165,17 +166,10 @@ def test_gradients_pass_finite_differences():
     rng = np.random.default_rng(8)
     params = make_params(rng, 2, 2)
     seq = ad.Tensor(rng.normal(size=(3, 2)))
-    readout = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-
-    def wrt_seq(t):
-        return ad.sum_all(ad.mul(lstm_forward(t, params), readout))
-
-    def wrt_param(_):
-        return ad.sum_all(ad.mul(lstm_forward(seq, params), readout))
-
-    assert ad.gradient_check(wrt_seq, seq) < 1e-4
-    for tensor in (params.w_x, params.w_h, params.bias):
-        assert ad.gradient_check(wrt_param, tensor) < 1e-4
+    loss = probed(rng, lambda t: lstm_forward(t, params), seq)
+    assert ad.gradient_check(loss, seq) < 1e-4
+    for name, err in check_named("", lambda _: loss(seq), params.named()):
+        assert err < 1e-4, name
 
 
 def test_bilstm_gradients_pass_finite_differences():
@@ -183,17 +177,11 @@ def test_bilstm_gradients_pass_finite_differences():
     fwd = make_params(rng, 2, 2)
     bwd = make_params(rng, 2, 2)
     seq = ad.Tensor(rng.normal(size=(3, 2)))
-    readout = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-
-    def wrt(tensor_role_seq):
-        def f(t):
-            inner = t if tensor_role_seq else seq
-            return ad.sum_all(ad.mul(bilstm(inner, fwd, bwd), readout))
-        return f
-
-    assert ad.gradient_check(wrt(True), seq) < 1e-4
-    for tensor in (fwd.w_x, fwd.w_h, fwd.bias, bwd.w_x, bwd.w_h, bwd.bias):
-        assert ad.gradient_check(wrt(False), tensor) < 1e-4
+    loss = probed(rng, lambda t: bilstm(t, fwd, bwd), seq)
+    assert ad.gradient_check(loss, seq) < 1e-4
+    for prefix, params in (("fwd.", fwd), ("bwd.", bwd)):
+        for name, err in check_named(prefix, lambda _: loss(seq), params.named()):
+            assert err < 1e-4, name
 
 
 def test_hidden_size_mismatch_between_directions():

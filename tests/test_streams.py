@@ -15,6 +15,7 @@ from skelact.streams import (
     stream_forward,
     teu_encode,
 )
+from skelact.verify import check_named, probed
 
 LINEAR3 = ("linear", "linear", "linear")
 
@@ -163,17 +164,17 @@ def test_teu_time_constant_input_collapses_time_channels():
     pose = np.tile(frame[None], (4, 1, 1))
     kern = rng.normal(size=(2, 4, 3))
     layers = [ConvParams(ad.Tensor(kern), ad.Tensor(np.zeros(3)))]
-    out = teu_encode(ad.Tensor(pose), layers, activations=("linear",), padding="valid")
+    out = teu_encode(ad.Tensor(pose), layers, activations=("linear",))
 
     collapsed = kern.sum(axis=1, keepdims=True)  # [K_w, 1, C_out]
     trajectories = frame.reshape(1, 10).T  # [J*D, 1]
-    expect = conv1d_oracle(trajectories, collapsed, np.zeros(3), "valid").T
+    expect = conv1d_oracle(trajectories, collapsed, np.zeros(3), "same").T
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     # replicating a different number of identical frames with matching kernels
     # leaves nothing time-dependent: same trajectories, same collapsed conv
     pose2 = np.tile(frame[None], (4, 1, 1)) + 0.0
-    out2 = teu_encode(ad.Tensor(pose2), layers, activations=("linear",), padding="valid")
+    out2 = teu_encode(ad.Tensor(pose2), layers, activations=("linear",))
     np.testing.assert_allclose(out.data, out2.data, atol=0)
 
 
@@ -242,11 +243,7 @@ def test_stream_forward_gradient_through_residual_path():
     rng = np.random.default_rng(15)
     encoded = ad.Tensor(rng.normal(size=(5, 6)))
     params = zeroed_stream_params(config, 6)
-    readout = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-
-    def f(t):
-        return ad.sum_all(ad.mul(stream_forward(t, params), readout))
-
+    f = probed(rng, lambda t: stream_forward(t, params), encoded)
     assert ad.gradient_check(f, encoded) < 1e-4
     encoded.requires_grad = True
     encoded.grad = None
@@ -259,13 +256,9 @@ def test_stream_forward_full_gradients():
     rng = np.random.default_rng(16)
     encoded = ad.Tensor(rng.normal(size=(4, 5)))
     params = init_stream_params(rng, 5, config)
-    readout = ad.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-
-    def f(_):
-        return ad.sum_all(ad.mul(stream_forward(encoded, params), readout))
-
-    for name, tensor in params.named():
-        assert ad.gradient_check(f, tensor) < 1e-4, name
+    loss = probed(rng, lambda t: stream_forward(t, params), encoded)
+    for name, err in check_named("", lambda _: loss(encoded), params.named()):
+        assert err < 1e-4, name
 
 
 # ---------------------------------------------------------------------------
