@@ -14,6 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
 
+HEADS = 4  # the paper's head count, used by every model build
+
 
 @dataclass
 class AttentionParams:
@@ -35,7 +37,7 @@ class AttentionParams:
         yield "wo", self.w_o
 
 
-def init_attention_params(rng, model_dim, heads=4):
+def init_attention_params(rng, model_dim, heads=HEADS):
     if heads < 1:
         raise ContractError(f"attention needs at least one head, got {heads}")
     if model_dim % heads != 0:

@@ -284,18 +284,6 @@ def _class_index(x, index, op):
     return index
 
 
-def pick(x, index):
-    """x[index] of a vector, or one entry per row of x [..., C] given indices of shape x.shape[:-1]."""
-    index = _class_index(x, index, "pick")
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, index, np.asarray(g)[..., None], axis=-1)
-        _accumulate(x, full)
-
-    return _node(np.take_along_axis(x.data, index, axis=-1)[..., 0], (x,), bw)
-
-
 def global_avg_pool(x):
     """Mean over the time axis (-2) of a [..., T, D] tensor."""
     if x.data.ndim < 2:
@@ -421,8 +409,8 @@ def softmax_cross_entropy(logits, labels):
     return _node(np.asarray(loss), (logits,), bw)
 
 
-def layer_norm(x, gain, shift, epsilon=1e-6):
-    """Per-row standardization of [..., N, D] followed by an affine with gain/shift."""
+def layer_norm(x, gain, shift):
+    """Per-row standardization of [..., N, D] (variance + 1e-6) followed by an affine with gain/shift."""
     if x.data.ndim < 2:
         raise DimensionError(f"layer_norm expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
     d = x.data.shape[-1]
@@ -432,7 +420,7 @@ def layer_norm(x, gain, shift, epsilon=1e-6):
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
 
     def bw(g):
@@ -456,35 +444,27 @@ def layer_norm(x, gain, shift, epsilon=1e-6):
 # convolution
 
 
-def _conv_padding(kernel_width, padding):
-    if padding == "same":
-        # zero padding, symmetric with the extra column on the left for even widths
-        return kernel_width // 2, (kernel_width - 1) // 2
-    if padding == "valid":
-        return 0, 0
-    raise ContractError(f"conv1d padding must be 'same' or 'valid', got {padding!r}")
+def conv1d(x, kernel, bias):
+    """'Same'-padded 1-d convolution of x [..., L, C_in] with kernel [K, C_in, C_out] and bias [C_out].
 
-
-def conv1d(x, kernel, bias, padding="same"):
-    """1-d convolution of x [..., L, C_in] with kernel [K, C_in, C_out] and bias [C_out].
-
-    Leading axes are batch. 'same' keeps L positions via zero padding;
-    'valid' yields L - K + 1. The input is never padded or widened: K=1 is
-    one GEMM of the input rows with kernel[0]. For K>1 one GEMM per tap
-    gives the tap outputs [K, rows, C_out], which are shift-added onto the
-    bias, clipped at the sequence edges (kn2row: Anderson et al., "Low-memory
-    GEMM-based convolution algorithms", 2017). The backward shifts the output
-    gradient once per tap, on the narrow C_out side, for both GEMMs.
+    Leading axes are batch, and the output keeps all L positions: output t
+    reads inputs t - K//2 .. t + (K-1)//2, zeros past the sequence edges
+    (the extra column sits on the left for even K). The input is never
+    padded or widened: K=1 is one GEMM of the input rows with kernel[0]. For
+    K>1 one GEMM per tap gives the tap outputs [K, rows, C_out], which are
+    shift-added onto the bias, clipped at the sequence edges (kn2row:
+    Anderson et al., "Low-memory GEMM-based convolution algorithms", 2017).
+    The backward shifts the output gradient once per tap, on the narrow
+    C_out side, for both GEMMs.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"conv1d expects a 2-d input or a batch of them, got {x.data.ndim}-d")
     if kernel.data.ndim != 3:
         raise DimensionError(f"conv1d expects a 3-d kernel, got {kernel.data.ndim}-d")
     k, c_in, c_out = kernel.data.shape
-    length_axis = x.data.ndim - 2
     if x.data.shape[-1] != c_in:
         raise DimensionError(
-            f"conv1d: input channels (axis {length_axis + 1}) = {x.data.shape[-1]} but kernel expects {c_in}"
+            f"conv1d: input channels (axis {x.data.ndim - 1}) = {x.data.shape[-1]} but kernel expects {c_in}"
         )
     if bias.data.shape != (c_out,):
         raise DimensionError(
@@ -492,13 +472,6 @@ def conv1d(x, kernel, bias, padding="same"):
         )
     lead = x.data.shape[:-2]
     length = x.data.shape[-2]
-    pad_left, pad_right = _conv_padding(k, padding)
-    padded_len = length + pad_left + pad_right
-    out_len = padded_len - k + 1
-    if out_len < 1:
-        raise DimensionError(
-            f"conv1d: kernel width {k} exceeds padded length {padded_len} (axis {length_axis})"
-        )
     rows = _rows(x.data)
 
     if k == 1:
@@ -515,23 +488,23 @@ def conv1d(x, kernel, bias, padding="same"):
         out += bias.data
         return _node(out.reshape(lead + (length, c_out)), (x, kernel, bias), bw)
 
-    # Output position t of tap j reads input position t + j - pad_left; each
+    # Output position t of tap j reads input position t + j - K//2; each
     # tap covers the output span [lo, hi) whose reads fall inside the sequence.
     seqs = math.prod(lead)
     spans = []
     for j in range(k):
-        shift = j - pad_left
-        lo, hi = max(0, -shift), min(out_len, length - shift)
+        shift = j - k // 2
+        lo, hi = max(0, -shift), min(length, length - shift)
         if lo < hi:
             spans.append((j, shift, lo, hi))
     taps = np.matmul(rows, kernel.data).reshape(k, seqs, length, c_out)
-    out = np.empty((seqs, out_len, c_out))
+    out = np.empty((seqs, length, c_out))
     out[...] = bias.data
     for j, shift, lo, hi in spans:
         out[:, lo:hi] += taps[j, :, lo + shift:hi + shift]
 
     def bw(g):
-        g3 = g.reshape(seqs, out_len, c_out)
+        g3 = g.reshape(seqs, length, c_out)
         shifted = np.zeros((k, seqs, length, c_out))
         for j, shift, lo, hi in spans:
             shifted[j, :, lo + shift:hi + shift] = g3[:, lo:hi]
@@ -545,7 +518,7 @@ def conv1d(x, kernel, bias, padding="same"):
                 dx += np.matmul(shifted[j], kernel.data[j].T, out=term)
             _accumulate(x, dx.reshape(x.data.shape))
 
-    return _node(out.reshape(lead + (out_len, c_out)), (x, kernel, bias), bw)
+    return _node(out.reshape(lead + (length, c_out)), (x, kernel, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +565,11 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def zeros(shape, requires_grad=True):
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+def zeros(shape):
+    """A trainable tensor of zeros."""
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def ones(shape, requires_grad=True):
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
+def ones(shape):
+    """A trainable tensor of ones."""
+    return Tensor(np.ones(shape), requires_grad=True)

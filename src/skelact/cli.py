@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from . import verify
+from .attention import HEADS
 from .data import (
+    COORDS,
     Sample,
     SyntheticSpec,
     generate_raw,
@@ -57,8 +59,9 @@ def _coerce(value):
 
 
 def parse_kv_file(path):
-    """Flat key=value text; '#' starts a comment, blank lines are skipped."""
+    """Flat key=value text; '#' starts a comment, blank lines are skipped, a key may appear once."""
     pairs = {}
+    first_line = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -67,7 +70,13 @@ def parse_kv_file(path):
             if "=" not in line:
                 raise ContractError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
-            pairs[key.strip()] = _coerce(value.strip())
+            key = key.strip()
+            if key in first_line:
+                raise ContractError(
+                    f"{path}:{lineno}: key {key!r} repeats the one on line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            pairs[key] = _coerce(value.strip())
     return pairs
 
 
@@ -240,8 +249,8 @@ def cmd_inspect(args):
     print(f"branch={ablation.branch} {flags} seed={params.seed}")
     d = params.dims
     print(
-        f"dims: frames={d.frames} joints={d.joints} coords={d.coords} "
-        f"channel_dim={d.stream.channel_dim} hidden={d.hidden} heads={d.heads} "
+        f"dims: frames={d.frames} joints={d.joints} coords={COORDS} "
+        f"channel_dim={d.stream.channel_dim} hidden={d.hidden} heads={HEADS} "
         f"classes={d.num_classes} rgb_width={d.rgb_width}"
     )
     groups = {}

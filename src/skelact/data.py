@@ -22,6 +22,7 @@ from .errors import ContractError, ParseError, require_finite, require_integer
 
 FEATURE_WIDTH = 1536
 TARGET_FRAMES = 20
+COORDS = 3  # x, y, z per joint
 
 _SKL_MAGIC = b"SKL1"
 _FTR_MAGIC = b"FTR1"
@@ -29,7 +30,7 @@ _FTR_MAGIC = b"FTR1"
 
 @dataclass
 class RawSkeletonSample:
-    positions: np.ndarray  # [T_raw, subjects, J, 3]
+    positions: np.ndarray  # [T_raw, subjects, J, COORDS]
     joints_per_subject: int
     subjects: int
     spine_index: int
@@ -37,7 +38,7 @@ class RawSkeletonSample:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        expected = (self.positions.shape[0], self.subjects, self.joints_per_subject, 3)
+        expected = (self.positions.shape[0], self.subjects, self.joints_per_subject, COORDS)
         if self.positions.shape != expected:
             raise ContractError(
                 f"skeleton positions shape {self.positions.shape} does not match {expected}"
@@ -94,7 +95,7 @@ class SyntheticSpec:
 @dataclass
 class Sample:
     """One preprocessed dataset item; features may be absent for pose-only data."""
-    pose: np.ndarray            # [20, J_eff, 3]
+    pose: np.ndarray            # [20, J_eff, COORDS]
     features: np.ndarray | None  # [20, 1536]
     label: int
 
@@ -162,12 +163,12 @@ def preprocess_features(fseq, target=TARGET_FRAMES):
 def _synthetic_layout(spec):
     """Base skeleton and per-class motion parameters, all drawn from one stream."""
     rng = np.random.default_rng(spec.seed)
-    base = rng.normal(size=(spec.joints, 3))
+    base = rng.normal(size=(spec.joints, COORDS))
     classes = []
     for _ in range(spec.num_classes):
-        amplitude = rng.uniform(0.5, 1.0, size=(spec.joints, 3)) * spec.amplitude
+        amplitude = rng.uniform(0.5, 1.0, size=(spec.joints, COORDS)) * spec.amplitude
         amplitude[spec.spine_index] = 0.0  # keep the reference joint steady
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=(spec.joints, 3))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(spec.joints, COORDS))
         centroid = rng.normal(size=FEATURE_WIDTH)
         classes.append((amplitude, phase, centroid))
     return rng, base, classes
@@ -220,10 +221,12 @@ def write_skeleton_file(path, sample):
         fh.write(np.ascontiguousarray(sample.positions, dtype="<f8").tobytes())
 
 
-def _check_payload_finite(payload, payload_offset):
-    bad = np.flatnonzero(~np.isfinite(payload))
-    if bad.size:
-        raise ParseError(f"non-finite value at byte offset {payload_offset + int(bad[0]) * 8}")
+def check_payload_finite(path, payload, payload_offset):
+    """ParseError naming `path` and the byte offset of the first non-finite float64 in `payload`."""
+    finite = np.isfinite(payload)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ParseError(f"{path}: non-finite value at byte offset {payload_offset + first * 8}")
 
 
 def load_skeleton_file(path):
@@ -237,15 +240,15 @@ def load_skeleton_file(path):
         raise ParseError(f"{path}: empty dimensions in header at byte offset 4")
     if spine_index >= joints:
         raise ParseError(f"{path}: spine index out of range at byte offset 16")
-    count = frames * subjects * joints * 3
+    count = frames * subjects * joints * COORDS
     expected = 24 + count * 8
     if len(blob) != expected:
         raise ParseError(
             f"{path}: payload ends at byte offset {len(blob)}, expected {expected}"
         )
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=24)
-    _check_payload_finite(payload, 24)
-    positions = payload.reshape(frames, subjects, joints, 3).copy()
+    check_payload_finite(path, payload, 24)
+    positions = payload.reshape(frames, subjects, joints, COORDS).copy()
     return RawSkeletonSample(positions, joints, subjects, spine_index, label)
 
 
@@ -276,5 +279,5 @@ def load_feature_file(path):
             f"{path}: payload ends at byte offset {len(blob)}, expected {expected}"
         )
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=16)
-    _check_payload_finite(payload, 16)
+    check_payload_finite(path, payload, 16)
     return FrameFeatureSequence(payload.reshape(frames, width).copy(), label)

@@ -18,9 +18,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionParams, init_attention_params, multi_head_self_attention
+from .data import COORDS, check_payload_finite
 from .errors import ContractError, DimensionError, ParseError
 from .recurrent import LstmParams, bilstm, init_lstm_params
 from .streams import (
+    SEU_KERNELS,
+    TEU_KERNELS,
     StreamConfig,
     StreamParams,
     fuse_pose_streams,
@@ -67,11 +70,9 @@ def variant_config(name, branch="pose"):
 class ModelDims:
     frames: int = 20
     joints: int = 25
-    coords: int = 3
     rgb_width: int = 1536
     hidden: int = 128
     num_classes: int = 4
-    heads: int = 4
     stream: StreamConfig = field(default_factory=StreamConfig)
 
     def __post_init__(self):
@@ -79,7 +80,7 @@ class ModelDims:
             self.stream = StreamConfig(**self.stream)
         if not isinstance(self.stream, StreamConfig):
             raise ContractError(f"ModelDims.stream must be a StreamConfig or a dict, got {self.stream!r}")
-        for name in ("frames", "joints", "coords", "rgb_width", "hidden", "num_classes", "heads"):
+        for name in ("frames", "joints", "rgb_width", "hidden", "num_classes"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ContractError(f"ModelDims.{name} must be a positive integer, got {value!r}")
@@ -170,26 +171,26 @@ def build_variant(ablation, dims, seed=0):
     pose = None
     rgb = None
     if ablation.branch in ("pose", "both"):
-        flat = dims.joints * dims.coords
+        flat = dims.joints * COORDS
         if ablation.use_seu:
             spatial_enc = init_conv_stack(
-                _component_rng(seed, "pose.spatial.enc"), dims.coords, cfg.seu_filters, cfg.seu_kernels
+                _component_rng(seed, "pose.spatial.enc"), COORDS, cfg.seu_filters, SEU_KERNELS
             )
             spatial_width = dims.joints * cfg.seu_filters[-1]
         else:
             # baseline: plain time-axis convs on raw flattened coordinates
             spatial_enc = init_conv_stack(
-                _component_rng(seed, "pose.spatial.enc"), flat, cfg.seu_filters, cfg.teu_kernels
+                _component_rng(seed, "pose.spatial.enc"), flat, cfg.seu_filters, TEU_KERNELS
             )
             spatial_width = cfg.seu_filters[-1]
         if ablation.use_teu:
             temporal_enc = init_conv_stack(
-                _component_rng(seed, "pose.temporal.enc"), dims.frames, cfg.teu_filters, cfg.teu_kernels
+                _component_rng(seed, "pose.temporal.enc"), dims.frames, cfg.teu_filters, TEU_KERNELS
             )
             temporal_width = flat
         else:
             temporal_enc = init_conv_stack(
-                _component_rng(seed, "pose.temporal.enc"), flat, cfg.teu_filters, cfg.teu_kernels
+                _component_rng(seed, "pose.temporal.enc"), flat, cfg.teu_filters, TEU_KERNELS
             )
             temporal_width = cfg.teu_filters[-1]
         spatial_stream = init_stream_params(
@@ -200,9 +201,7 @@ def build_variant(ablation, dims, seed=0):
         )
         attention = None
         if ablation.use_attention:
-            attention = init_attention_params(
-                _component_rng(seed, "pose.attention"), cfg.channel_dim, heads=dims.heads
-            )
+            attention = init_attention_params(_component_rng(seed, "pose.attention"), cfg.channel_dim)
         lstm_rng = _component_rng(seed, "pose.lstm")
         pose = PoseBranchParams(
             spatial_enc,
@@ -216,9 +215,7 @@ def build_variant(ablation, dims, seed=0):
     if ablation.branch in ("rgb", "both"):
         attention = None
         if ablation.use_attention:
-            attention = init_attention_params(
-                _component_rng(seed, "rgb.attention"), dims.rgb_width, heads=dims.heads
-            )
+            attention = init_attention_params(_component_rng(seed, "rgb.attention"), dims.rgb_width)
         lstm_rng = _component_rng(seed, "rgb.lstm")
         rgb = RgbBranchParams(
             attention,
@@ -403,9 +400,7 @@ def load_checkpoint(path):
             )
         count = tensor.data.size
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ParseError(f"{path}: non-finite value at byte offset {offset + bad * 8}")
+        check_payload_finite(path, values, offset)
         tensor.data = values.reshape(tensor.data.shape).copy()
         offset += count * 8
     if tensors:

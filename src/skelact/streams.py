@@ -33,34 +33,38 @@ class ConvParams:
         yield "bias", self.bias
 
 
+# per-layer kernel widths: SEU convs see one joint, TEU and post convs three positions
+SEU_KERNELS = (1, 1, 1)
+TEU_KERNELS = (3, 3, 3)
+POST_KERNELS = (3, 3, 3)
+
+
 @dataclass
 class StreamConfig:
+    """Filter counts and activations of the three-layer encoder and post stacks.
+
+    Kernel widths are the module's fixed SEU/TEU/POST_KERNELS, and the
+    stream's output width `channel_dim` is the last post filter count.
+    """
+
     seu_filters: tuple = (32, 48, 64)
     teu_filters: tuple = (32, 48, 64)
     post_filters: tuple = (96, 112, 120)
-    seu_kernels: tuple = (1, 1, 1)
-    teu_kernels: tuple = (3, 3, 3)
-    post_kernels: tuple = (3, 3, 3)
-    channel_dim: int = 120
     activations: tuple = ("relu", "relu", "linear")
 
     def __post_init__(self):
-        for name in ("seu_filters", "teu_filters", "post_filters",
-                     "seu_kernels", "teu_kernels", "post_kernels", "activations"):
+        for name in ("seu_filters", "teu_filters", "post_filters", "activations"):
             value = tuple(getattr(self, name))
             setattr(self, name, value)
             if len(value) != 3:
                 raise ContractError(f"StreamConfig.{name} must list exactly 3 layers, got {len(value)}")
-        for name in ("seu_kernels", "teu_kernels", "post_kernels"):
-            if any(k < 1 for k in getattr(self, name)):
-                raise ContractError(f"StreamConfig.{name} entries must be positive")
-        if self.post_filters[-1] != self.channel_dim:
-            raise ContractError(
-                f"final post filter count {self.post_filters[-1]} must equal channel_dim {self.channel_dim}"
-            )
         for act in self.activations:
             if act not in _ACTIVATIONS:
                 raise ContractError(f"unknown activation {act!r}")
+
+    @property
+    def channel_dim(self):
+        return self.post_filters[-1]
 
 
 @dataclass
@@ -103,7 +107,7 @@ def init_conv_stack(rng, c_in, filters, kernels):
 
 
 def init_stream_params(rng, in_channels, config):
-    post = init_conv_stack(rng, in_channels, config.post_filters, config.post_kernels)
+    post = init_conv_stack(rng, in_channels, config.post_filters, POST_KERNELS)
     proj = None
     if in_channels != config.channel_dim:
         proj = init_conv_params(rng, 1, in_channels, config.channel_dim)
@@ -172,7 +176,7 @@ def stream_forward(encoded, params):
     """Three post conv layers, residual from the encoder output, then layer norm."""
     post_out = apply_conv_stack(encoded, params.post, params.activations)
     if params.proj is not None:
-        residual = ad.conv1d(encoded, params.proj.kernel, params.proj.bias, padding="same")
+        residual = ad.conv1d(encoded, params.proj.kernel, params.proj.bias)
     else:
         residual = encoded
     if residual.data.shape[-1] != post_out.data.shape[-1]:

@@ -13,11 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import COORDS
 from .errors import ContractError, require_finite, require_integer
 from .model import forward, save_checkpoint
 
 DEFAULT_LR = {"adam": 1e-3, "sgd": 0.1}
 EVAL_CHUNK = 16  # clips per forward pass in evaluate()
+ADAM_BETAS = (0.9, 0.999)  # moment decay rates (Kingma & Ba 2015 defaults)
+ADAM_EPS = 1e-8
 
 
 def cross_entropy(logits, label):
@@ -107,11 +110,9 @@ class Adam:
     """Adam (Kingma & Ba 2015) with L2 and lr decay; `step()` updates each `t.data`
     and the moments `m`, `v` in place."""
 
-    def __init__(self, tensors, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, l2_lambda=1e-5, lr_decay=1e-6):
+    def __init__(self, tensors, lr=1e-3, l2_lambda=1e-5, lr_decay=1e-6):
         self.tensors = list(tensors)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.l2 = l2_lambda
         self.decay = lr_decay
         self.steps = 0
@@ -122,7 +123,7 @@ class Adam:
     def step(self):
         lr_t = self.lr / (1.0 + self.decay * self.steps)
         self.steps += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         correct1 = 1.0 - b1 ** self.steps
         correct2 = 1.0 - b2 ** self.steps
         g_buf, d_buf = self._scratch
@@ -152,7 +153,7 @@ class Adam:
                 g *= lr_t
                 np.divide(v_k, correct2, out=d)
                 np.sqrt(d, out=d)
-                d += self.eps
+                d += ADAM_EPS
                 g /= d
                 p -= g
 
@@ -171,7 +172,7 @@ def _check_clips(params, dataset, indices):
     dims = params.dims
     needs = []
     if params.pose is not None:
-        needs.append(("pose", "skeleton data", "pose", (dims.frames, dims.joints, dims.coords)))
+        needs.append(("pose", "skeleton data", "pose", (dims.frames, dims.joints, COORDS)))
     if params.rgb is not None:
         needs.append(("features", "RGB features", "RGB", (dims.frames, dims.rgb_width)))
     for idx in indices:

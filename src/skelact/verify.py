@@ -12,9 +12,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import init_attention_params, multi_head_self_attention
+from .data import COORDS
 from .model import ModelDims, build_variant, forward, variant_config
 from .recurrent import bilstm, init_lstm_params, lstm_forward
 from .streams import (
+    SEU_KERNELS,
+    TEU_KERNELS,
     StreamConfig,
     init_conv_stack,
     init_stream_params,
@@ -29,12 +32,11 @@ THRESHOLD = 1e-4
 # smooth activations: finite differences are invalid at relu kinks
 SMOOTH_STREAM = StreamConfig(
     seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4),
-    seu_kernels=(1, 1, 1), teu_kernels=(3, 3, 3), post_kernels=(3, 3, 3),
-    channel_dim=4, activations=("tanh", "sigmoid", "linear"),
+    activations=("tanh", "sigmoid", "linear"),
 )
 # ops also checked on a leading batch axis, each mapping every [4, 5] slice of a [2, 4, 5] input
 BATCHED = (
-    "conv1d_same", "conv1d_valid", "conv1d_k1", "conv1d_even_same_k2", "conv1d_even_same_k4",
+    "conv1d_same", "conv1d_k1", "conv1d_even_same_k2", "conv1d_even_same_k4",
     "layer_norm", "softmax", "transpose", "transpose_heads", "global_avg_pool",
 )
 
@@ -81,14 +83,12 @@ def op_suite(seed):
         "reverse_rows": ad.reverse_rows,
         "concat": lambda t: ad.concat([t, other], axis=0),
         "sum_all": ad.sum_all,
-        "pick": lambda t: ad.pick(t, [2, 0, 4, 1]),
         "global_avg_pool": ad.global_avg_pool,
         "matmul": lambda t: ad.matmul(t, mat),
         "dense": lambda t: ad.dense(t, mat, bias),
         "softmax": ad.softmax,
         "layer_norm": lambda t: ad.layer_norm(t, gain, shift),
         "conv1d_same": lambda t: ad.conv1d(t, kernels[3], kbias),
-        "conv1d_valid": lambda t: ad.conv1d(t, kernels[3], kbias, padding="valid"),
         "conv1d_k1": lambda t: ad.conv1d(t, kernels[1], kbias),
         "conv1d_even_same_k2": lambda t: ad.conv1d(t, kernels[2], kbias),
         "conv1d_even_same_k4": lambda t: ad.conv1d(t, kernels[4], kbias),
@@ -123,13 +123,13 @@ def module_suite(seed):
 
     cfg = SMOOTH_STREAM
     pose = ad.Tensor(rng.normal(size=(4, 3, 2)))
-    enc = init_conv_stack(np.random.default_rng([seed, 104]), 2, cfg.seu_filters, cfg.seu_kernels)
+    enc = init_conv_stack(np.random.default_rng([seed, 104]), 2, cfg.seu_filters, SEU_KERNELS)
     stream = init_stream_params(np.random.default_rng([seed, 105]), 3 * 2, cfg)
     seu_loss = probed(rng, lambda t: stream_forward(seu_encode(t, enc, cfg.activations), stream), pose)
     seu_named = [*named_conv_stack("enc", enc), *stream.named()]
     results += check_named("streams.", lambda _: seu_loss(pose), seu_named)
 
-    tenc = init_conv_stack(np.random.default_rng([seed, 106]), 4, cfg.teu_filters, cfg.teu_kernels)
+    tenc = init_conv_stack(np.random.default_rng([seed, 106]), 4, cfg.teu_filters, TEU_KERNELS)
     teu_loss = probed(rng, lambda t: teu_encode(t, tenc, cfg.activations), pose)
     results += check_named("streams.", lambda _: teu_loss(pose), named_conv_stack("tenc", tenc))
 
@@ -141,10 +141,7 @@ def module_suite(seed):
 
 def model_dims():
     """Tiny smooth dims for the model suite: every parameter group in seconds."""
-    return ModelDims(
-        frames=4, joints=3, coords=3, rgb_width=8, hidden=4, num_classes=4,
-        heads=4, stream=SMOOTH_STREAM,
-    )
+    return ModelDims(frames=4, joints=3, rgb_width=8, hidden=4, num_classes=4, stream=SMOOTH_STREAM)
 
 
 def model_suite(seed):
@@ -152,7 +149,7 @@ def model_suite(seed):
     params = build_variant(variant_config("full", branch="both"), dims, seed=seed)
     rng = np.random.default_rng(seed)
     # a batch of two clips with different labels, so the check covers the batch axis
-    pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, dims.coords)))
+    pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, COORDS)))
     features = ad.Tensor(rng.normal(size=(2, dims.frames, dims.rgb_width)))
     labels = np.array([1, 2])
 

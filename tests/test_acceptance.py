@@ -14,6 +14,7 @@ import pytest
 import skelact.autodiff as ad
 from skelact.attention import init_attention_params, multi_head_self_attention
 from skelact.data import (
+    COORDS,
     FEATURE_WIDTH,
     FrameFeatureSequence,
     RawSkeletonSample,
@@ -35,7 +36,7 @@ from skelact.model import (
     variant_config,
 )
 from skelact.recurrent import bilstm, init_lstm_params
-from skelact.streams import init_conv_stack, seu_encode, teu_encode
+from skelact.streams import SEU_KERNELS, TEU_KERNELS, init_conv_stack, seu_encode, teu_encode
 from skelact.verify import model_dims
 
 SINGLE_THREAD = {
@@ -130,12 +131,12 @@ def test_shape_contracts():
     rng = np.random.default_rng(12)
     dims = ModelDims()
     cfg = dims.stream
-    seu_layers = init_conv_stack(rng, dims.coords, cfg.seu_filters, cfg.seu_kernels)
+    seu_layers = init_conv_stack(rng, COORDS, cfg.seu_filters, SEU_KERNELS)
     pose = ad.Tensor(rng.normal(size=(20, 25, 3)))
     seu_out = seu_encode(pose, seu_layers, cfg.activations)
     assert seu_out.data.shape == (20, 25 * cfg.seu_filters[-1]) == (20, 1600)
 
-    teu_layers = init_conv_stack(rng, dims.frames, cfg.teu_filters, cfg.teu_kernels)
+    teu_layers = init_conv_stack(rng, dims.frames, cfg.teu_filters, TEU_KERNELS)
     teu_out = teu_encode(pose, teu_layers, cfg.activations)
     assert teu_out.data.shape[0] == cfg.teu_filters[-1] == 64
     assert teu_out.data.shape == (64, 75)
@@ -195,7 +196,7 @@ def test_probability_normalization():
     params = build_variant(variant_config("full"), dims, seed=14)
     worst_cls = 0.0
     for _ in range(5):
-        pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, dims.coords)))
+        pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
         probs = forward(params, pose=pose).data
         worst_cls = max(worst_cls, abs(float(probs.sum()) - 1.0))
     assert worst_cls < 1e-12

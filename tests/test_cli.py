@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from skelact.model import load_checkpoint
+from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
+from skelact.streams import StreamConfig
 
 SINGLE_THREAD = {
     "OMP_NUM_THREADS": "1",
@@ -115,6 +116,31 @@ def test_train_eval_inspect_round_trip(workspace):
     assert "total" in result.stdout
 
 
+def test_inspect_prints_every_line_of_a_tiny_checkpoint(tmp_path):
+    # coords, channel_dim and heads come from constants and the stream's last
+    # post filter count; the dims line reads as when each was a stored setting
+    stream = StreamConfig(seu_filters=(2, 2, 3), teu_filters=(2, 2, 2), post_filters=(3, 3, 4))
+    dims = ModelDims(frames=3, joints=2, rgb_width=4, hidden=2, num_classes=2, stream=stream)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, build_variant(variant_config("full", "both"), dims, seed=0))
+    result = run_cli("inspect", "--checkpoint", str(ckpt))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == (
+        "branch=both seu=True teu=True attention=True seed=0\n"
+        "dims: frames=3 joints=2 coords=3 channel_dim=4 hidden=2 heads=4 classes=2 rgb_width=4\n"
+        "parameters:\n"
+        "  classifier 10\n"
+        "  pose.attention 64\n"
+        "  pose.lstm 112\n"
+        "  pose.spatial 186\n"
+        "  pose.temporal 211\n"
+        "  rgb.attention 64\n"
+        "  rgb.lstm 112\n"
+        "  total 759\n"
+    )
+
+
 def test_train_missing_modality_names_it(workspace, tmp_path):
     pose_only = tmp_path / "pose_only"
     pose_only.mkdir()
@@ -139,6 +165,21 @@ def test_unknown_config_key_rejected(workspace, tmp_path):
     )
     assert result.returncode == 1
     assert "learning_rate" in result.stderr
+
+
+def test_repeated_config_key_rejected(workspace, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("lr=0.1\nepochs=1\n# a later value must not win silently\nlr=1\n")
+    ckpt = tmp_path / "x.ckpt"
+    result = run_cli(
+        "train", "--data", str(workspace / "data"), "--variant", "baseline",
+        "--config", str(bad), "--out", str(ckpt),
+    )
+    assert result.returncode == 1
+    assert "key 'lr'" in result.stderr
+    assert f"{bad}:4:" in result.stderr and "line 1" in result.stderr
+    assert result.stdout == ""
+    assert not ckpt.exists()
 
 
 def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
@@ -211,9 +252,9 @@ def test_ablate_table_and_determinism(workspace):
 # every component each scope reports, frozen so no check drops out unnoticed
 GRADCHECK_COMPONENTS = {
     "op": (
-        "add mul relu sigmoid tanh scale reshape transpose reverse_rows concat sum_all pick "
-        "global_avg_pool matmul dense softmax layer_norm conv1d_same conv1d_valid conv1d_k1 "
-        "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same batched.conv1d_valid "
+        "add mul relu sigmoid tanh scale reshape transpose reverse_rows concat sum_all "
+        "global_avg_pool matmul dense softmax layer_norm conv1d_same conv1d_k1 "
+        "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same "
         "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "
         "batched.layer_norm batched.softmax batched.transpose batched.transpose_heads "
         "batched.global_avg_pool"

@@ -6,6 +6,7 @@ import pytest
 
 import skelact.autodiff as ad
 from skelact.attention import multi_head_self_attention
+from skelact.data import COORDS
 from skelact.errors import ContractError, DimensionError, ParseError
 from skelact.model import (
     AblationConfig,
@@ -24,28 +25,21 @@ from skelact.training import cross_entropy
 from skelact.verify import check_named
 
 
-def tiny_dims(activations=("relu", "relu", "linear"), **kw):
+def tiny_dims(activations=("relu", "relu", "linear"), post_filters=(3, 3, 4), **kw):
     """Smallest configuration that still exercises projection layers."""
     stream = StreamConfig(
         seu_filters=(2, 2, 3),
         teu_filters=(2, 2, 2),
-        post_filters=(3, 3, 4),
-        seu_kernels=(1, 1, 1),
-        teu_kernels=(3, 3, 3),
-        post_kernels=(3, 3, 3),
-        channel_dim=4,
+        post_filters=post_filters,
         activations=activations,
     )
-    base = dict(
-        frames=3, joints=2, coords=3, rgb_width=4, hidden=2, num_classes=2,
-        heads=2, stream=stream,
-    )
+    base = dict(frames=3, joints=2, rgb_width=4, hidden=2, num_classes=2, stream=stream)
     base.update(kw)
     return ModelDims(**base)
 
 
 def random_pose(rng, dims):
-    return ad.Tensor(rng.normal(size=(dims.frames, dims.joints, dims.coords)))
+    return ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
 
 
 def random_features(rng, dims):
@@ -179,7 +173,7 @@ def test_attention_with_zero_output_projection_is_identity():
 
 
 def test_rgb_attention_residual_is_permutation_equivariant():
-    dims = tiny_dims(rgb_width=8, heads=4)
+    dims = tiny_dims(rgb_width=8)
     params = build_variant(variant_config("full", branch="rgb"), dims, seed=9)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(dims.frames, 8))
@@ -246,7 +240,7 @@ def test_gradient_check_every_parameter_group():
     dims = tiny_dims(activations=("tanh", "sigmoid", "linear"))
     params = build_variant(variant_config("full", "both"), dims, seed=11)
     rng = np.random.default_rng(11)
-    pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, dims.coords)))
+    pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
     features = ad.Tensor(rng.normal(size=(dims.frames, dims.rgb_width)))
 
     def loss_fn(_):
@@ -260,7 +254,7 @@ def test_gradient_check_inputs():
     dims = tiny_dims(activations=("tanh", "sigmoid", "linear"))
     params = build_variant(variant_config("full", "both"), dims, seed=12)
     rng = np.random.default_rng(12)
-    pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, dims.coords)))
+    pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
     features = ad.Tensor(rng.normal(size=(dims.frames, dims.rgb_width)))
 
     def loss_via_pose(p):
@@ -291,6 +285,16 @@ def test_checkpoint_round_trip(tmp_path):
     restored = dict(loaded.named_parameters())
     for name, tensor in params.named_parameters():
         np.testing.assert_array_equal(tensor.data, restored[name].data, err_msg=name)
+
+
+def test_checkpoint_manifest_schema_is_frozen(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_variant(variant_config("full", "both"), tiny_dims(), seed=0))
+    blob = path.read_bytes()
+    length = struct.unpack("<I", blob[4:8])[0]
+    dims = json.loads(blob[8:8 + length])["dims"]
+    assert list(dims) == ["frames", "joints", "rgb_width", "hidden", "num_classes", "stream"]
+    assert list(dims["stream"]) == ["seu_filters", "teu_filters", "post_filters", "activations"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -337,7 +341,13 @@ BAD_MANIFESTS = {
     "frames-float": lambda m: _with_dims(m, frames=2.5),
     "frames-zero": lambda m: _with_dims(m, frames=0),
     "stream-list": lambda m: _with_dims(m, stream=[1, 2]),
-    "stream-width-string": lambda m: _with_dims(m, stream={"channel_dim": "wide"}),
+    "stream-width-string": lambda m: _with_dims(m, stream={"post_filters": [3, 3, "wide"]}),
+    # a manifest written before kernel widths, coords and heads became constants
+    # and channel_dim became the last post filter count
+    "parent-dims-keys": lambda m: _with_dims(m, coords=3, heads=4, stream={
+        **m["dims"]["stream"], "channel_dim": 4,
+        "seu_kernels": [1, 1, 1], "teu_kernels": [3, 3, 3], "post_kernels": [3, 3, 3],
+    }),
     "seed-string": lambda m: {**m, "seed": "x"},
     "seed-negative": lambda m: {**m, "seed": -1},
     "tensor-entry-short": lambda m: {**m, "tensors": [["classifier.bias"]]},
@@ -406,12 +416,13 @@ def test_dims_validation():
     with pytest.raises(ContractError):
         ModelDims(frames=2.5)
     with pytest.raises(ContractError):
-        ModelDims(heads=True)
-    dims = ModelDims(stream={"channel_dim": 120})
+        ModelDims(hidden=True)
+    dims = ModelDims(stream={"post_filters": (96, 112, 120)})
     assert isinstance(dims.stream, StreamConfig)
+    assert dims.stream.channel_dim == 120
 
 
 def test_heads_must_divide_channel_dim():
-    dims = tiny_dims(heads=3)  # channel_dim 4 not divisible by 3
+    dims = tiny_dims(post_filters=(3, 3, 6))  # channel_dim 6 not divisible by the 4 heads
     with pytest.raises(ContractError):
         build_variant(variant_config("full"), dims, 0)

@@ -1,5 +1,7 @@
 """Damaged SKL1, FTR1 and CKP2 files: the loaders raise ParseError and nothing else."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,8 @@ from skelact.streams import StreamConfig
 
 
 def tiny_checkpoint(path):
-    stream = StreamConfig(
-        seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4),
-        seu_kernels=(1, 1, 1), teu_kernels=(3, 3, 3), post_kernels=(3, 3, 3),
-        channel_dim=4,
-    )
-    dims = ModelDims(frames=4, joints=3, coords=3, hidden=2, num_classes=2, heads=2, stream=stream)
+    stream = StreamConfig(seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4))
+    dims = ModelDims(frames=4, joints=3, hidden=2, num_classes=2, stream=stream)
     save_checkpoint(path, build_variant(variant_config("baseline"), dims, seed=1))
 
 
@@ -97,3 +95,16 @@ def test_truncations_and_bit_flips_raise_only_parse_error(name, truncate, in_pay
         load(path)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_non_finite_payload_error_names_file_and_offset(name, originals):
+    # the payload's last float: in a checkpoint it lies in the last tensor
+    root, blobs = originals
+    blob = bytearray(blobs[name])
+    offset = len(blob) - 8
+    blob[offset:] = np.float64("inf").tobytes()
+    path = root / f"non_finite.{name}"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: non-finite value at byte offset {offset}")):
+        FORMATS[name][1](path)

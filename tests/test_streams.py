@@ -4,6 +4,8 @@ import pytest
 from skelact import autodiff as ad
 from skelact.errors import ContractError, DimensionError
 from skelact.streams import (
+    SEU_KERNELS,
+    TEU_KERNELS,
     ConvParams,
     StreamConfig,
     apply_conv_stack,
@@ -20,9 +22,10 @@ from skelact.verify import check_named, probed
 LINEAR3 = ("linear", "linear", "linear")
 
 
-def conv1d_oracle(x, kern, bias, padding):
+def conv1d_oracle(x, kern, bias):
+    """'Same'-padded conv1d as a direct sliding-window sum."""
     k, c_in, c_out = kern.shape
-    pl, pr = (k // 2, (k - 1) // 2) if padding == "same" else (0, 0)
+    pl, pr = k // 2, (k - 1) // 2
     padded = np.zeros((x.shape[0] + pl + pr, c_in))
     padded[pl:pl + x.shape[0]] = x
     out_len = padded.shape[0] - k + 1
@@ -42,11 +45,11 @@ def relu(x):
 
 
 def default_seu_layers(rng):
-    return init_conv_stack(rng, 3, (32, 48, 64), (1, 1, 1))
+    return init_conv_stack(rng, 3, (32, 48, 64), SEU_KERNELS)
 
 
 def default_teu_layers(rng, frames=20):
-    return init_conv_stack(rng, frames, (32, 48, 64), (3, 3, 3))
+    return init_conv_stack(rng, frames, (32, 48, 64), TEU_KERNELS)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +87,9 @@ def test_seu_matches_per_frame_oracle():
     expect = np.zeros((6, 5 * 6))
     for t in range(6):
         frame = pose[t]
-        frame = relu(conv1d_oracle(frame, layers[0].kernel.data, layers[0].bias.data, "same"))
-        frame = relu(conv1d_oracle(frame, layers[1].kernel.data, layers[1].bias.data, "same"))
-        frame = conv1d_oracle(frame, layers[2].kernel.data, layers[2].bias.data, "same")
+        frame = relu(conv1d_oracle(frame, layers[0].kernel.data, layers[0].bias.data))
+        frame = relu(conv1d_oracle(frame, layers[1].kernel.data, layers[1].bias.data))
+        frame = conv1d_oracle(frame, layers[2].kernel.data, layers[2].bias.data)
         expect[t] = frame.reshape(-1)
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -100,9 +103,9 @@ def test_seu_wide_kernel_path_matches_oracle():
     expect = np.zeros((3, 6 * 4))
     for t in range(3):
         frame = pose[t]
-        frame = relu(conv1d_oracle(frame, layers[0].kernel.data, layers[0].bias.data, "same"))
-        frame = relu(conv1d_oracle(frame, layers[1].kernel.data, layers[1].bias.data, "same"))
-        frame = conv1d_oracle(frame, layers[2].kernel.data, layers[2].bias.data, "same")
+        frame = relu(conv1d_oracle(frame, layers[0].kernel.data, layers[0].bias.data))
+        frame = relu(conv1d_oracle(frame, layers[1].kernel.data, layers[1].bias.data))
+        frame = conv1d_oracle(frame, layers[2].kernel.data, layers[2].bias.data)
         expect[t] = frame.reshape(-1)
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -151,7 +154,7 @@ def test_teu_one_layer_matches_conv_then_transpose_oracle():
     layers = [ConvParams(ad.Tensor(rng.normal(size=(2, 6, 3))), ad.Tensor(rng.normal(size=3)))]
     out = teu_encode(ad.Tensor(pose), layers, activations=("linear",))
     trajectories = pose.reshape(6, 2).T  # [J*D, T]
-    expect = conv1d_oracle(trajectories, layers[0].kernel.data, layers[0].bias.data, "same").T
+    expect = conv1d_oracle(trajectories, layers[0].kernel.data, layers[0].bias.data).T
     assert out.data.shape == expect.shape == (3, 2)
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -168,7 +171,7 @@ def test_teu_time_constant_input_collapses_time_channels():
 
     collapsed = kern.sum(axis=1, keepdims=True)  # [K_w, 1, C_out]
     trajectories = frame.reshape(1, 10).T  # [J*D, 1]
-    expect = conv1d_oracle(trajectories, collapsed, np.zeros(3), "same").T
+    expect = conv1d_oracle(trajectories, collapsed, np.zeros(3)).T
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     # replicating a different number of identical frames with matching kernels
@@ -209,7 +212,7 @@ def zeroed_stream_params(config, in_channels):
 
 
 def test_stream_forward_residual_dominates_with_zero_post():
-    config = StreamConfig(post_filters=(4, 5, 8), channel_dim=8)
+    config = StreamConfig(post_filters=(4, 5, 8))
     rng = np.random.default_rng(12)
     encoded = ad.Tensor(rng.normal(size=(6, 8)))
     params = zeroed_stream_params(config, 8)
@@ -232,14 +235,14 @@ def test_stream_forward_channel_dim_is_120_for_both_streams():
 
 def test_stream_forward_row_statistics():
     rng = np.random.default_rng(14)
-    config = StreamConfig(post_filters=(4, 5, 6), channel_dim=6)
+    config = StreamConfig(post_filters=(4, 5, 6))
     encoded = ad.Tensor(rng.normal(size=(5, 9)))
     out = stream_forward(encoded, init_stream_params(rng, 9, config))
     assert np.abs(out.data.mean(axis=1)).max() < 1e-10
 
 
 def test_stream_forward_gradient_through_residual_path():
-    config = StreamConfig(post_filters=(3, 3, 4), channel_dim=4)
+    config = StreamConfig(post_filters=(3, 3, 4))
     rng = np.random.default_rng(15)
     encoded = ad.Tensor(rng.normal(size=(5, 6)))
     params = zeroed_stream_params(config, 6)
@@ -252,7 +255,7 @@ def test_stream_forward_gradient_through_residual_path():
 
 
 def test_stream_forward_full_gradients():
-    config = StreamConfig(post_filters=(3, 3, 4), channel_dim=4)
+    config = StreamConfig(post_filters=(3, 3, 4))
     rng = np.random.default_rng(16)
     encoded = ad.Tensor(rng.normal(size=(4, 5)))
     params = init_stream_params(rng, 5, config)
@@ -288,13 +291,13 @@ def test_stream_config_validation():
     with pytest.raises(ContractError):
         StreamConfig(seu_filters=(32, 48))
     with pytest.raises(ContractError):
-        StreamConfig(post_filters=(96, 112, 100))
-    with pytest.raises(ContractError):
         StreamConfig(activations=("relu", "relu", "softplus"))
-    with pytest.raises(ContractError):
-        StreamConfig(teu_kernels=(3, 0, 3))
     config = StreamConfig()
     assert config.post_filters[-1] == config.channel_dim == 120
+    # the stream width is the last post filter count, never set on its own
+    assert StreamConfig(post_filters=(96, 112, 100)).channel_dim == 100
+    with pytest.raises(AttributeError):
+        config.channel_dim = 100
 
 
 def test_apply_conv_stack_activation_count_checked():

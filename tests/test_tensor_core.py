@@ -9,13 +9,10 @@ from skelact import autodiff as ad
 from skelact.errors import ContractError, DimensionError
 
 
-def conv1d_oracle(x, kern, bias, padding):
-    """Direct sliding-window sum, quadruple loop, explicit zero padding."""
+def conv1d_oracle(x, kern, bias):
+    """Direct sliding-window sum, quadruple loop, explicit 'same' zero padding."""
     k, c_in, c_out = kern.shape
-    if padding == "same":
-        pl, pr = k // 2, (k - 1) // 2
-    else:
-        pl = pr = 0
+    pl, pr = k // 2, (k - 1) // 2
     padded = np.zeros((x.shape[0] + pl + pr, c_in))
     padded[pl:pl + x.shape[0]] = x
     out_len = padded.shape[0] - k + 1
@@ -60,7 +57,7 @@ def test_conv1d_identity_kernel():
     x = ad.Tensor(rng.normal(size=(6, 4)))
     kern = ad.Tensor(np.eye(4)[None, :, :])
     bias = ad.Tensor(np.zeros(4))
-    out = ad.conv1d(x, kern, bias, padding="same")
+    out = ad.conv1d(x, kern, bias)
     np.testing.assert_allclose(out.data, x.data, rtol=0, atol=0)
 
 
@@ -69,18 +66,8 @@ def test_conv1d_per_frame_shape():
     x = ad.Tensor(rng.normal(size=(25, 3)))
     kern = ad.Tensor(rng.normal(size=(1, 3, 64)))
     bias = ad.Tensor(rng.normal(size=64))
-    out = ad.conv1d(x, kern, bias, padding="same")
+    out = ad.conv1d(x, kern, bias)
     assert out.data.shape == (25, 64)
-
-
-def test_conv1d_valid_matches_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 2))
-    kern = rng.normal(size=(2, 2, 3))
-    bias = rng.normal(size=3)
-    out = ad.conv1d(ad.Tensor(x), ad.Tensor(kern), ad.Tensor(bias), padding="valid")
-    assert out.data.shape == (4, 3)
-    np.testing.assert_allclose(out.data, conv1d_oracle(x, kern, bias, "valid"), atol=1e-12)
 
 
 def test_conv1d_oracle_property():
@@ -89,15 +76,12 @@ def test_conv1d_oracle_property():
         length = int(rng.integers(1, 33))
         c_in = int(rng.integers(1, 5))
         c_out = int(rng.integers(1, 5))
-        padding = "same" if rng.random() < 0.5 else "valid"
         k = int(rng.integers(1, 5))
-        if padding == "valid":
-            k = min(k, length)
         x = rng.uniform(-10, 10, size=(length, c_in))
         kern = rng.uniform(-10, 10, size=(k, c_in, c_out))
         bias = rng.uniform(-10, 10, size=c_out)
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(kern), ad.Tensor(bias), padding=padding)
-        expect = conv1d_oracle(x, kern, bias, padding)
+        out = ad.conv1d(ad.Tensor(x), ad.Tensor(kern), ad.Tensor(bias))
+        expect = conv1d_oracle(x, kern, bias)
         assert out.data.shape == expect.shape
         np.testing.assert_allclose(out.data, expect, atol=1e-12 * max(1, np.abs(expect).max()))
 
@@ -107,7 +91,7 @@ def test_conv1d_same_padding_left_bias():
     x = np.arange(4.0).reshape(4, 1)
     kern = np.ones((2, 1, 1))
     bias = np.zeros(1)
-    out = ad.conv1d(ad.Tensor(x), ad.Tensor(kern), ad.Tensor(bias), padding="same")
+    out = ad.conv1d(ad.Tensor(x), ad.Tensor(kern), ad.Tensor(bias))
     np.testing.assert_allclose(out.data[:, 0], [0.0, 1.0, 3.0, 5.0])
 
 
@@ -117,26 +101,28 @@ def test_conv1d_shape_errors():
     bias = ad.Tensor(np.zeros(6))
     with pytest.raises(DimensionError, match="axis 1"):
         ad.conv1d(x, kern, bias)
-    wide = ad.Tensor(np.zeros((7, 3, 6)))
-    with pytest.raises(DimensionError, match="axis 0"):
-        ad.conv1d(x, wide, ad.Tensor(np.zeros(6)), padding="valid")
-    with pytest.raises(ContractError):
-        ad.conv1d(x, ad.Tensor(np.zeros((2, 3, 6))), ad.Tensor(np.zeros(6)), padding="reflect")
+    with pytest.raises(DimensionError, match="3-d kernel"):
+        ad.conv1d(x, ad.Tensor(np.zeros((3, 6))), bias)
+    with pytest.raises(DimensionError, match="filter count 6"):
+        ad.conv1d(x, ad.Tensor(np.zeros((2, 3, 6))), ad.Tensor(np.zeros(4)))
+    # a kernel wider than the sequence still keeps every position
+    wide = ad.conv1d(x, ad.Tensor(np.zeros((7, 3, 6))), bias)
+    assert wide.data.shape == (5, 6)
 
 
 # ---------------------------------------------------------------------------
 # conv1d against the frozen im2col implementation
 
 
-def reference_conv1d(x, kernel, bias, padding, upstream):
-    """The im2col conv1d forward and backward, frozen as plain numpy.
+def reference_conv1d(x, kernel, bias, upstream):
+    """The im2col 'same' conv1d forward and backward, frozen as plain numpy.
 
     x [..., L, C_in], kernel [K, C_in, C_out]; returns the output and the
     gradients of sum(output * upstream) with respect to x, kernel and bias.
     """
     k, c_in, c_out = kernel.shape
     lead, length = x.shape[:-2], x.shape[-2]
-    pad_left, pad_right = (k // 2, (k - 1) // 2) if padding == "same" else (0, 0)
+    pad_left, pad_right = k // 2, (k - 1) // 2
     padded_len = length + pad_left + pad_right
     out_len = padded_len - k + 1
     seqs = x.reshape(-1, length, c_in)
@@ -163,7 +149,6 @@ def reference_conv1d(x, kernel, bias, padding, upstream):
 @settings(max_examples=150, deadline=None)
 @given(
     k=st.integers(1, 5),
-    padding=st.sampled_from(["same", "valid"]),
     length=st.integers(1, 8),
     lead=st.sampled_from([(), (1,), (2, 3)]),
     c_in=st.integers(1, 6),
@@ -171,12 +156,10 @@ def reference_conv1d(x, kernel, bias, padding, upstream):
     x_grad=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(k=5, padding="same", length=1, lead=(2, 3), c_in=2, c_out=3, x_grad=True, seed=0)
-@example(k=4, padding="same", length=6, lead=(1,), c_in=6, c_out=1, x_grad=True, seed=1)
-@example(k=3, padding="valid", length=3, lead=(), c_in=1, c_out=6, x_grad=False, seed=2)
-def test_conv1d_matches_frozen_im2col_reference(k, padding, length, lead, c_in, c_out, x_grad, seed):
-    if padding == "valid":
-        k = min(k, length)
+@example(k=5, length=1, lead=(2, 3), c_in=2, c_out=3, x_grad=True, seed=0)
+@example(k=4, length=6, lead=(1,), c_in=6, c_out=1, x_grad=True, seed=1)
+@example(k=3, length=3, lead=(), c_in=1, c_out=6, x_grad=False, seed=2)
+def test_conv1d_matches_frozen_im2col_reference(k, length, lead, c_in, c_out, x_grad, seed):
     rng = np.random.default_rng(seed)
     x_data = rng.normal(size=lead + (length, c_in))
     k_data = rng.normal(size=(k, c_in, c_out))
@@ -184,14 +167,14 @@ def test_conv1d_matches_frozen_im2col_reference(k, padding, length, lead, c_in, 
     x = ad.Tensor(x_data, requires_grad=x_grad)
     kernel = ad.Tensor(k_data, requires_grad=True)
     bias = ad.Tensor(b_data, requires_grad=True)
-    out = ad.conv1d(x, kernel, bias, padding=padding)
+    out = ad.conv1d(x, kernel, bias)
     upstream = rng.normal(size=out.data.shape)
     ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
 
-    want = reference_conv1d(x_data, k_data, b_data, padding, upstream)
+    want = reference_conv1d(x_data, k_data, b_data, upstream)
     # Each entry is a sum of products, so its rounding error is relative to
     # the sum of their magnitudes: the reference applied to absolute values.
-    scale = reference_conv1d(np.abs(x_data), np.abs(k_data), np.abs(b_data), padding, np.abs(upstream))
+    scale = reference_conv1d(np.abs(x_data), np.abs(k_data), np.abs(b_data), np.abs(upstream))
     got = (out.data, x.grad, kernel.grad, bias.grad)
     for name, actual, expected, bound in zip(("out", "x", "kernel", "bias"), got, want, scale):
         if name == "x" and not x_grad:
@@ -317,7 +300,7 @@ def test_layer_norm_statistics():
     rng = np.random.default_rng(8)
     # rows scaled so true variance is well above epsilon's bite
     x = rng.normal(size=(4, 16)) * 3.0
-    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16)), epsilon=1e-6)
+    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16)))
     means = out.data.mean(axis=1)
     variances = out.data.var(axis=1)
     assert np.abs(means).max() < 1e-10
@@ -329,7 +312,7 @@ def test_layer_norm_matches_two_pass_oracle():
     x = rng.normal(size=(2, 5))
     gain = rng.normal(size=5)
     shift = rng.normal(size=5)
-    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(shift), epsilon=1e-6)
+    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(shift))
     np.testing.assert_allclose(out.data, layer_norm_oracle(x, gain, shift, 1e-6), atol=1e-12)
 
 
@@ -512,7 +495,7 @@ def test_gradient_check_exact_linear():
 def test_gradient_check_softmax_pick():
     rng = np.random.default_rng(14)
     x = ad.Tensor(rng.normal(size=4))
-    err = ad.gradient_check(lambda t: ad.pick(ad.softmax(t), 0), x, eps=1e-5)
+    err = ad.gradient_check(lambda t: _entry(ad.softmax(t), 0), x, eps=1e-5)
     assert err < 1e-6
 
 
@@ -523,6 +506,11 @@ def test_gradient_check_rejects_vector_function():
 
 # ---------------------------------------------------------------------------
 # finite-difference property per primitive
+
+
+def _entry(t, j):
+    """Entry j of a vector tensor, read out as sum(t * one-hot)."""
+    return ad.sum_all(ad.mul(t, ad.Tensor(np.eye(t.data.size)[j])))
 
 
 def _fd(f, x, bound=1e-4):
@@ -557,7 +545,7 @@ def test_fd_shape_ops():
         half = ad.Tensor(rng.normal(size=(2, 4)))
         _fd(lambda t: ad.sum_all(ad.mul(ad.concat([t, other], axis=0), ad.concat([other, t], axis=0))), half)
         j = int(rng.integers(0, 12))
-        _fd(lambda t: ad.pick(ad.reshape(t, (12,)), j), x)
+        _fd(lambda t: _entry(ad.reshape(t, (12,)), j), x)
         _fd(lambda t: ad.sum_all(ad.mul(ad.global_avg_pool(t), ad.global_avg_pool(t))), x)
 
 
@@ -580,13 +568,12 @@ def test_fd_conv1d_all_inputs():
         k = int(rng.integers(1, min(4, length) + 1))
         c_in = int(rng.integers(1, 4))
         c_out = int(rng.integers(1, 4))
-        padding = "same" if trial % 2 == 0 else "valid"
         x = ad.Tensor(rng.normal(size=(length, c_in)))
         kern = ad.Tensor(rng.normal(size=(k, c_in, c_out)), requires_grad=True)
         bias = ad.Tensor(rng.normal(size=c_out), requires_grad=True)
-        _fd(lambda t: ad.sum_all(ad.conv1d(t, kern, bias, padding=padding)), x)
-        _fd(lambda t: ad.sum_all(ad.conv1d(x, t, bias, padding=padding)), kern)
-        _fd(lambda t: ad.sum_all(ad.conv1d(x, kern, t, padding=padding)), bias)
+        _fd(lambda t: ad.sum_all(ad.conv1d(t, kern, bias)), x)
+        _fd(lambda t: ad.sum_all(ad.conv1d(x, t, bias)), kern)
+        _fd(lambda t: ad.sum_all(ad.conv1d(x, kern, t)), bias)
 
 
 def test_fd_softmax_and_layer_norm():
@@ -594,7 +581,7 @@ def test_fd_softmax_and_layer_norm():
     for _ in range(100):
         x = ad.Tensor(rng.normal(size=(2, 5)))
         j = int(rng.integers(0, 5))
-        _fd(lambda t: ad.pick(ad.reshape(ad.softmax(t), (10,)), j), x)
+        _fd(lambda t: _entry(ad.reshape(ad.softmax(t), (10,)), j), x)
         gain = ad.Tensor(rng.normal(size=5), requires_grad=True)
         shift = ad.Tensor(rng.normal(size=5), requires_grad=True)
         weights = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)

@@ -31,19 +31,8 @@ def tiny_dataset(classes=2, per_class=4, joints=4, frames=6, **kw):
 
 
 def train_dims(frames=6, joints=4, classes=2):
-    stream = StreamConfig(
-        seu_filters=(2, 2, 2),
-        teu_filters=(2, 2, 2),
-        post_filters=(3, 3, 4),
-        seu_kernels=(1, 1, 1),
-        teu_kernels=(3, 3, 3),
-        post_kernels=(3, 3, 3),
-        channel_dim=4,
-    )
-    return ModelDims(
-        frames=frames, joints=joints, coords=3, hidden=2, num_classes=classes,
-        heads=2, stream=stream,
-    )
+    stream = StreamConfig(seu_filters=(2, 2, 2), teu_filters=(2, 2, 2), post_filters=(3, 3, 4))
+    return ModelDims(frames=frames, joints=joints, hidden=2, num_classes=classes, stream=stream)
 
 
 def tiny_model(variant="full", seed=0, **dim_kw):
