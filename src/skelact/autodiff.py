@@ -344,9 +344,12 @@ def matmul(a, b):
 
 
 def dense(x, weight, bias):
-    """Affine map: x [..., N, D_in] times weight [D_in, D_out] plus bias [D_out]."""
-    if x.data.ndim < 2:
-        raise DimensionError(f"dense expects a 2-d input or a batch of them, got {x.data.ndim}-d")
+    """Affine map of the rows of x [..., D_in]: times weight [D_in, D_out], plus bias [D_out].
+
+    Any leading axes are rows, none included: a 1-d x is one row.
+    """
+    if x.data.ndim < 1:
+        raise DimensionError("dense expects a row or an array of rows, got 0-d")
     axis = x.data.ndim - 1
     if x.data.shape[-1] != weight.data.shape[0]:
         raise DimensionError(
@@ -360,11 +363,13 @@ def dense(x, weight, bias):
 
     def bw(g):
         g2 = _rows(g)
-        _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
         _accumulate(weight, x2.T @ g2)
         _accumulate(bias, g2.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
 
-    out = x2 @ weight.data + bias.data
+    out = x2 @ weight.data
+    out += bias.data
     return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, weight, bias), bw)
 
 
@@ -450,7 +455,7 @@ def conv1d(x, kernel, bias):
     Leading axes are batch, and the output keeps all L positions: output t
     reads inputs t - K//2 .. t + (K-1)//2, zeros past the sequence edges
     (the extra column sits on the left for even K). The input is never
-    padded or widened: K=1 is one GEMM of the input rows with kernel[0]. For
+    padded or widened: K=1 is `dense` with kernel[0] as the weight. For
     K>1 one GEMM per tap gives the tap outputs [K, rows, C_out], which are
     shift-added onto the bias, clipped at the sequence edges (kn2row:
     Anderson et al., "Low-memory GEMM-based convolution algorithms", 2017).
@@ -470,23 +475,11 @@ def conv1d(x, kernel, bias):
         raise DimensionError(
             f"conv1d: bias shape {bias.data.shape} does not match filter count {c_out}"
         )
+    if k == 1:
+        return dense(x, reshape(kernel, (c_in, c_out)), bias)
     lead = x.data.shape[:-2]
     length = x.data.shape[-2]
     rows = _rows(x.data)
-
-    if k == 1:
-        weight = kernel.data[0]
-
-        def bw(g):
-            g2 = _rows(g)
-            _accumulate(kernel, (rows.T @ g2)[None])
-            _accumulate(bias, g2.sum(axis=0))
-            if x.requires_grad:
-                _accumulate(x, (g2 @ weight.T).reshape(x.data.shape))
-
-        out = rows @ weight
-        out += bias.data
-        return _node(out.reshape(lead + (length, c_out)), (x, kernel, bias), bw)
 
     # Output position t of tap j reads input position t + j - K//2; each
     # tap covers the output span [lo, hi) whose reads fall inside the sequence.

@@ -5,6 +5,8 @@ File formats (little-endian throughout):
         frames*subjects*joints*3 float64 joint coordinates, row-major.
   FTR1  magic "FTR1", u32 frames/width/label, then frames*width float64
         per-frame feature values, row-major. Width is fixed at 1536.
+Both, and `model`'s CKP2 checkpoints, go through one container writer and
+reader, `write_container` and `read_container`.
 
 Preprocessing follows the recipe: pick 20 equally spaced frames, move every
 subject's joints to spine-centered coordinates, and divide by the sequence
@@ -207,77 +209,79 @@ def generate_synthetic(spec, target=TARGET_FRAMES):
 
 
 # ---------------------------------------------------------------------------
-# binary formats
+# binary formats: a magic, a header, then a float64 payload that ends the file
 
 
-def write_skeleton_file(path, sample):
-    frames = sample.positions.shape[0]
-    header = struct.pack(
-        "<5I", frames, sample.joints_per_subject, sample.subjects, sample.spine_index, sample.label
-    )
+def write_container(path, magic, header, arrays):
+    """Write `magic`, the `header` bytes, then each array as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(_SKL_MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(sample.positions, dtype="<f8").tobytes())
+        fh.write(magic + header)
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def check_payload_finite(path, payload, payload_offset):
-    """ParseError naming `path` and the byte offset of the first non-finite float64 in `payload`."""
+def read_container(path, magic, header_size, parse_header):
+    """(header, payload) of a container file; the payload is a read-only float64 view of its bytes.
+
+    Once the magic and `header_size` header bytes are present,
+    `parse_header(path, blob)` returns (header, payload offset, float64 count).
+    The payload must end the file exactly and hold only finite values.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise ParseError(f"{path}: bad magic at byte offset 0, expected {magic.decode()}")
+    if len(blob) < 4 + header_size:
+        raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
+    header, offset, count = parse_header(path, blob)
+    end = offset + 8 * count
+    if end > len(blob):
+        raise ParseError(f"{path}: payload truncated at byte offset {len(blob)}, it ends at {end}")
+    if end < len(blob):
+        raise ParseError(f"{path}: {len(blob) - end} trailing bytes at byte offset {end}")
+    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     finite = np.isfinite(payload)
     if not finite.all():
-        first = int(np.argmin(finite))
-        raise ParseError(f"{path}: non-finite value at byte offset {payload_offset + first * 8}")
+        raise ParseError(f"{path}: non-finite value at byte offset {offset + 8 * int(np.argmin(finite))}")
+    return header, payload
 
 
-def load_skeleton_file(path):
-    blob = open(path, "rb").read()
-    if blob[:4] != _SKL_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0, expected SKL1")
-    if len(blob) < 24:
-        raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
+def _skeleton_header(path, blob):
     frames, joints, subjects, spine_index, label = struct.unpack("<5I", blob[4:24])
     if frames < 1 or joints < 1 or subjects < 1:
         raise ParseError(f"{path}: empty dimensions in header at byte offset 4")
     if spine_index >= joints:
         raise ParseError(f"{path}: spine index out of range at byte offset 16")
-    count = frames * subjects * joints * COORDS
-    expected = 24 + count * 8
-    if len(blob) != expected:
-        raise ParseError(
-            f"{path}: payload ends at byte offset {len(blob)}, expected {expected}"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=24)
-    check_payload_finite(path, payload, 24)
+    return (frames, joints, subjects, spine_index, label), 24, frames * subjects * joints * COORDS
+
+
+def write_skeleton_file(path, sample):
+    header = struct.pack("<5I", sample.positions.shape[0], sample.joints_per_subject, sample.subjects,
+                         sample.spine_index, sample.label)
+    write_container(path, _SKL_MAGIC, header, [sample.positions])
+
+
+def load_skeleton_file(path):
+    header, payload = read_container(path, _SKL_MAGIC, 20, _skeleton_header)
+    frames, joints, subjects, spine_index, label = header
     positions = payload.reshape(frames, subjects, joints, COORDS).copy()
     return RawSkeletonSample(positions, joints, subjects, spine_index, label)
 
 
-def write_feature_file(path, fseq):
-    frames = fseq.features.shape[0]
-    header = struct.pack("<3I", frames, FEATURE_WIDTH, fseq.label)
-    with open(path, "wb") as fh:
-        fh.write(_FTR_MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(fseq.features, dtype="<f8").tobytes())
-
-
-def load_feature_file(path):
-    blob = open(path, "rb").read()
-    if blob[:4] != _FTR_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0, expected FTR1")
-    if len(blob) < 16:
-        raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
+def _feature_header(path, blob):
     frames, width, label = struct.unpack("<3I", blob[4:16])
     if width != FEATURE_WIDTH:
         raise ParseError(f"{path}: feature width {width} at byte offset 8, must be {FEATURE_WIDTH}")
     if frames < 1:
         raise ParseError(f"{path}: empty frame count at byte offset 4")
-    count = frames * width
-    expected = 16 + count * 8
-    if len(blob) != expected:
-        raise ParseError(
-            f"{path}: payload ends at byte offset {len(blob)}, expected {expected}"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=16)
-    check_payload_finite(path, payload, 16)
-    return FrameFeatureSequence(payload.reshape(frames, width).copy(), label)
+    return (frames, label), 16, frames * width
+
+
+def write_feature_file(path, fseq):
+    header = struct.pack("<3I", fseq.features.shape[0], FEATURE_WIDTH, fseq.label)
+    write_container(path, _FTR_MAGIC, header, [fseq.features])
+
+
+def load_feature_file(path):
+    (frames, label), payload = read_container(path, _FTR_MAGIC, 12, _feature_header)
+    return FrameFeatureSequence(payload.reshape(frames, FEATURE_WIDTH).copy(), label)

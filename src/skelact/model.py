@@ -8,9 +8,9 @@ an extra module enabled keeps all shared parameters equal.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionParams, init_attention_params, multi_head_self_attention
-from .data import COORDS, check_payload_finite
-from .errors import ContractError, DimensionError, ParseError
+from .data import COORDS, read_container, write_container
+from .errors import ContractError, DimensionError, ParseError, require_integer
 from .recurrent import LstmParams, bilstm, init_lstm_params
 from .streams import (
     SEU_KERNELS,
@@ -31,6 +31,7 @@ from .streams import (
     init_stream_params,
     named_conv_stack,
     plain_encode,
+    prefixed,
     seu_encode,
     stream_forward,
     teu_encode,
@@ -81,9 +82,21 @@ class ModelDims:
         if not isinstance(self.stream, StreamConfig):
             raise ContractError(f"ModelDims.stream must be a StreamConfig or a dict, got {self.stream!r}")
         for name in ("frames", "joints", "rgb_width", "hidden", "num_classes"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ContractError(f"ModelDims.{name} must be a positive integer, got {value!r}")
+            require_integer("ModelDims", name, getattr(self, name), 1)
+
+
+@dataclass
+class TailParams:
+    """The end of both branches: residual multi-head attention (or none), then a BiLSTM."""
+    attention: AttentionParams | None
+    lstm_fwd: LstmParams
+    lstm_bwd: LstmParams
+
+    def named(self):
+        if self.attention is not None:
+            yield from prefixed("attention.", self.attention.named())
+        yield from prefixed("lstm.fwd.", self.lstm_fwd.named())
+        yield from prefixed("lstm.bwd.", self.lstm_bwd.named())
 
 
 @dataclass
@@ -92,16 +105,7 @@ class PoseBranchParams:
     temporal_enc: list
     spatial_stream: StreamParams
     temporal_stream: StreamParams
-    attention: AttentionParams | None
-    lstm_fwd: LstmParams
-    lstm_bwd: LstmParams
-
-
-@dataclass
-class RgbBranchParams:
-    attention: AttentionParams | None
-    lstm_fwd: LstmParams
-    lstm_bwd: LstmParams
+    tail: TailParams
 
 
 @dataclass
@@ -110,31 +114,19 @@ class ModelParams:
     dims: ModelDims
     seed: int
     pose: PoseBranchParams | None
-    rgb: RgbBranchParams | None
+    rgb: TailParams | None
     classifier_w: "ad.Tensor"
     classifier_b: "ad.Tensor"
 
     def named_parameters(self):
         if self.pose is not None:
             yield from named_conv_stack("pose.spatial.enc", self.pose.spatial_enc)
-            for leaf, tensor in self.pose.spatial_stream.named():
-                yield f"pose.spatial.{leaf}", tensor
+            yield from prefixed("pose.spatial.", self.pose.spatial_stream.named())
             yield from named_conv_stack("pose.temporal.enc", self.pose.temporal_enc)
-            for leaf, tensor in self.pose.temporal_stream.named():
-                yield f"pose.temporal.{leaf}", tensor
-            if self.pose.attention is not None:
-                for leaf, tensor in self.pose.attention.named():
-                    yield f"pose.attention.{leaf}", tensor
-            for direction, lstm in (("fwd", self.pose.lstm_fwd), ("bwd", self.pose.lstm_bwd)):
-                for leaf, tensor in lstm.named():
-                    yield f"pose.lstm.{direction}.{leaf}", tensor
+            yield from prefixed("pose.temporal.", self.pose.temporal_stream.named())
+            yield from prefixed("pose.", self.pose.tail.named())
         if self.rgb is not None:
-            if self.rgb.attention is not None:
-                for leaf, tensor in self.rgb.attention.named():
-                    yield f"rgb.attention.{leaf}", tensor
-            for direction, lstm in (("fwd", self.rgb.lstm_fwd), ("bwd", self.rgb.lstm_bwd)):
-                for leaf, tensor in lstm.named():
-                    yield f"rgb.lstm.{direction}.{leaf}", tensor
+            yield from prefixed("rgb.", self.rgb.named())
         yield "classifier.weight", self.classifier_w
         yield "classifier.bias", self.classifier_b
 
@@ -165,6 +157,16 @@ def _component_rng(seed, component):
     return np.random.default_rng([seed, ids[component]])
 
 
+def init_tail(seed, branch, width, hidden, use_attention):
+    """The tail of `branch` ("pose" or "rgb") over rows of `width`, drawn from that branch's streams."""
+    attention = None
+    if use_attention:
+        attention = init_attention_params(_component_rng(seed, f"{branch}.attention"), width)
+    lstm_rng = _component_rng(seed, f"{branch}.lstm")
+    fwd, bwd = (init_lstm_params(lstm_rng, width, hidden) for _ in range(2))
+    return TailParams(attention, fwd, bwd)
+
+
 def build_variant(ablation, dims, seed=0):
     """Construct and initialize exactly the sub-modules the variant needs."""
     cfg = dims.stream
@@ -172,56 +174,29 @@ def build_variant(ablation, dims, seed=0):
     rgb = None
     if ablation.branch in ("pose", "both"):
         flat = dims.joints * COORDS
+        # without SEU or TEU an encoder is plain time-axis convs on raw flattened coordinates
+        seu_out, teu_out = cfg.seu_filters[-1], cfg.teu_filters[-1]
         if ablation.use_seu:
-            spatial_enc = init_conv_stack(
-                _component_rng(seed, "pose.spatial.enc"), COORDS, cfg.seu_filters, SEU_KERNELS
-            )
-            spatial_width = dims.joints * cfg.seu_filters[-1]
+            spatial_in, spatial_kernels, spatial_width = COORDS, SEU_KERNELS, dims.joints * seu_out
         else:
-            # baseline: plain time-axis convs on raw flattened coordinates
-            spatial_enc = init_conv_stack(
-                _component_rng(seed, "pose.spatial.enc"), flat, cfg.seu_filters, TEU_KERNELS
-            )
-            spatial_width = cfg.seu_filters[-1]
-        if ablation.use_teu:
-            temporal_enc = init_conv_stack(
-                _component_rng(seed, "pose.temporal.enc"), dims.frames, cfg.teu_filters, TEU_KERNELS
-            )
-            temporal_width = flat
-        else:
-            temporal_enc = init_conv_stack(
-                _component_rng(seed, "pose.temporal.enc"), flat, cfg.teu_filters, TEU_KERNELS
-            )
-            temporal_width = cfg.teu_filters[-1]
+            spatial_in, spatial_kernels, spatial_width = flat, TEU_KERNELS, seu_out
+        temporal_in, temporal_width = (dims.frames, flat) if ablation.use_teu else (flat, teu_out)
+        spatial_enc = init_conv_stack(
+            _component_rng(seed, "pose.spatial.enc"), spatial_in, cfg.seu_filters, spatial_kernels
+        )
+        temporal_enc = init_conv_stack(
+            _component_rng(seed, "pose.temporal.enc"), temporal_in, cfg.teu_filters, TEU_KERNELS
+        )
         spatial_stream = init_stream_params(
             _component_rng(seed, "pose.spatial.stream"), spatial_width, cfg
         )
         temporal_stream = init_stream_params(
             _component_rng(seed, "pose.temporal.stream"), temporal_width, cfg
         )
-        attention = None
-        if ablation.use_attention:
-            attention = init_attention_params(_component_rng(seed, "pose.attention"), cfg.channel_dim)
-        lstm_rng = _component_rng(seed, "pose.lstm")
-        pose = PoseBranchParams(
-            spatial_enc,
-            temporal_enc,
-            spatial_stream,
-            temporal_stream,
-            attention,
-            init_lstm_params(lstm_rng, cfg.channel_dim, dims.hidden),
-            init_lstm_params(lstm_rng, cfg.channel_dim, dims.hidden),
-        )
+        tail = init_tail(seed, "pose", cfg.channel_dim, dims.hidden, ablation.use_attention)
+        pose = PoseBranchParams(spatial_enc, temporal_enc, spatial_stream, temporal_stream, tail)
     if ablation.branch in ("rgb", "both"):
-        attention = None
-        if ablation.use_attention:
-            attention = init_attention_params(_component_rng(seed, "rgb.attention"), dims.rgb_width)
-        lstm_rng = _component_rng(seed, "rgb.lstm")
-        rgb = RgbBranchParams(
-            attention,
-            init_lstm_params(lstm_rng, dims.rgb_width, dims.hidden),
-            init_lstm_params(lstm_rng, dims.rgb_width, dims.hidden),
-        )
+        rgb = init_tail(seed, "rgb", dims.rgb_width, dims.hidden, ablation.use_attention)
 
     fused_width = 2 * dims.hidden
     head_rng = _component_rng(seed, "classifier")
@@ -236,6 +211,13 @@ def build_variant(ablation, dims, seed=0):
 # forward passes
 
 
+def tail_forward(x, tail):
+    """[..., T, D] -> [..., T, 2H]: x plus its self-attention when the tail has one, then the BiLSTM."""
+    if tail.attention is not None:
+        x = ad.add(x, multi_head_self_attention(x, tail.attention))
+    return bilstm(x, tail.lstm_fwd, tail.lstm_bwd)
+
+
 def pose_branch(pose, params):
     """Two encoder streams fused along the time axis, optional attention, bi-LSTM.
 
@@ -245,21 +227,13 @@ def pose_branch(pose, params):
         raise ContractError("model has no pose branch")
     branch = params.pose
     cfg = params.dims.stream
-    if params.ablation.use_seu:
-        spatial_in = seu_encode(pose, branch.spatial_enc, cfg.activations)
-    else:
-        spatial_in = plain_encode(pose, branch.spatial_enc, cfg.activations)
-    if params.ablation.use_teu:
-        temporal_in = teu_encode(pose, branch.temporal_enc, cfg.activations)
-    else:
-        temporal_in = plain_encode(pose, branch.temporal_enc, cfg.activations)
+    spatial_encode = seu_encode if params.ablation.use_seu else plain_encode
+    temporal_encode = teu_encode if params.ablation.use_teu else plain_encode
     fused = fuse_pose_streams(
-        stream_forward(spatial_in, branch.spatial_stream),
-        stream_forward(temporal_in, branch.temporal_stream),
+        stream_forward(spatial_encode(pose, branch.spatial_enc, cfg.activations), branch.spatial_stream),
+        stream_forward(temporal_encode(pose, branch.temporal_enc, cfg.activations), branch.temporal_stream),
     )
-    if branch.attention is not None:
-        fused = ad.add(fused, multi_head_self_attention(fused, branch.attention))
-    return bilstm(fused, branch.lstm_fwd, branch.lstm_bwd)
+    return tail_forward(fused, branch.tail)
 
 
 def rgb_branch(features, params):
@@ -280,10 +254,7 @@ def rgb_branch(features, params):
             f"feature sequence has {features.data.shape[-2]} frames, "
             f"expected {params.dims.frames} (axis {axis - 1})"
         )
-    x = features
-    if params.rgb.attention is not None:
-        x = ad.add(x, multi_head_self_attention(x, params.rgb.attention))
-    return bilstm(x, params.rgb.lstm_fwd, params.rgb.lstm_bwd)
+    return tail_forward(features, params.rgb)
 
 
 def late_fuse_and_classify(pose_out, rgb_out, params):
@@ -295,10 +266,7 @@ def late_fuse_and_classify(pose_out, rgb_out, params):
     if not outs:
         raise ContractError("no branch outputs to classify")
     fused = outs[0] if len(outs) == 1 else ad.concat(outs, axis=-2)
-    pooled = ad.global_avg_pool(fused)
-    rows = ad.reshape(pooled, (-1, pooled.data.shape[-1]))
-    logits = ad.dense(rows, params.classifier_w, params.classifier_b)
-    return ad.reshape(logits, pooled.data.shape[:-1] + (params.dims.num_classes,))
+    return ad.dense(ad.global_avg_pool(fused), params.classifier_w, params.classifier_b)
 
 
 def forward(params, pose=None, features=None, logits=False):
@@ -330,32 +298,23 @@ _MANIFEST_KEYS = {"ablation", "dims", "seed", "tensors"}
 
 
 def save_checkpoint(path, params):
-    names = [(name, list(tensor.data.shape)) for name, tensor in params.named_parameters()]
     manifest = {
         "ablation": asdict(params.ablation),
         "dims": asdict(params.dims),
         "seed": params.seed,
-        "tensors": names,
+        "tensors": [(name, list(tensor.data.shape)) for name, tensor in params.named_parameters()],
     }
     blob = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, tensor in params.named_parameters():
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+    header = struct.pack("<I", len(blob)) + blob
+    write_container(path, _CKPT_MAGIC, header, [tensor.data for tensor in params.tensors()])
 
 
 def _is_size(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def load_checkpoint(path):
-    blob = open(path, "rb").read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ParseError(f"{path}: bad magic at byte offset 0, expected {_CKPT_MAGIC.decode()}")
-    if len(blob) < 8:
-        raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
+def _checkpoint_header(path, blob):
+    """(ablation, dims, seed, tensor entries), payload offset and float64 count of a CKP2 file."""
     (manifest_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + manifest_len:
         raise ParseError(f"{path}: manifest truncated at byte offset {len(blob)}")
@@ -363,46 +322,41 @@ def load_checkpoint(path):
         manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable manifest at byte offset 8 ({exc})") from None
-
-    def invalid(exc):
-        return ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})")
-
     try:
         if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
             raise ContractError(f"manifest must be an object with keys {sorted(_MANIFEST_KEYS)}")
-        entries = [(name, shape) for name, shape in manifest["tensors"]]
+        entries = [[name, shape] for name, shape in manifest["tensors"]]
         for name, shape in entries:
             if not isinstance(name, str) or not isinstance(shape, list) or not all(map(_is_size, shape)):
                 raise ContractError(f"tensor entry {[name, shape]!r} is not [name, list of sizes]")
         ablation = AblationConfig(**manifest["ablation"])
         dims = ModelDims(**manifest["dims"])
     except (TypeError, ValueError) as exc:  # ContractError and DimensionError included
-        raise invalid(exc) from None
-    # the declared shapes must account for the payload exactly before anything is allocated
-    offset = 8 + manifest_len
-    end = offset + 8 * sum(math.prod(shape) for _, shape in entries)
-    if end > len(blob):
-        raise ParseError(f"{path}: payload truncated at byte offset {len(blob)}, its tensors end at {end}")
-    if end < len(blob):
-        raise ParseError(f"{path}: {len(blob) - end} trailing bytes at byte offset {end}")
+        raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
+    count = sum(math.prod(shape) for _, shape in entries)
+    return (ablation, dims, manifest["seed"], entries), 8 + manifest_len, count
+
+
+def load_checkpoint(path):
+    """Rebuild the manifest's variant and copy the payload into its tensors in place.
+
+    The payload length is checked against the manifest's shapes before
+    anything is built, and the manifest's tensor list must then equal the
+    build's, names, shapes and order.
+    """
+    (ablation, dims, seed, entries), payload = read_container(path, _CKPT_MAGIC, 4, _checkpoint_header)
     try:
-        params = build_variant(ablation, dims, manifest["seed"])
+        params = build_variant(ablation, dims, seed)
     except (TypeError, ValueError, MemoryError) as exc:
-        raise invalid(exc) from None
-    tensors = dict(params.named_parameters())
-    for name, shape in entries:
-        if name not in tensors:
-            raise ParseError(f"{path}: manifest names unknown tensor {name!r}")
-        tensor = tensors.pop(name)
-        if list(tensor.data.shape) != shape:
-            raise ParseError(
-                f"{path}: tensor {name!r} has shape {shape} in manifest, build expects {list(tensor.data.shape)}"
-            )
-        count = tensor.data.size
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        check_payload_finite(path, values, offset)
-        tensor.data = values.reshape(tensor.data.shape).copy()
-        offset += count * 8
-    if tensors:
-        raise ParseError(f"{path}: payload missing tensors {sorted(tensors)}")
+        raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
+    named = list(params.named_parameters())
+    built = [[name, list(tensor.data.shape)] for name, tensor in named]
+    for index, (entry, expected) in enumerate(itertools.zip_longest(entries, built)):
+        if entry != expected:
+            raise ParseError(f"{path}: invalid manifest at byte offset 8 "
+                             f"(tensor {index} is {entry}, the build has {expected})")
+    start = 0
+    for _, tensor in named:
+        tensor.data[...] = payload[start:start + tensor.data.size].reshape(tensor.data.shape)
+        start += tensor.data.size
     return params

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autodiff as ad
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require_integer
 
 _ACTIVATIONS = {
     "relu": ad.relu,
@@ -58,6 +58,9 @@ class StreamConfig:
             setattr(self, name, value)
             if len(value) != 3:
                 raise ContractError(f"StreamConfig.{name} must list exactly 3 layers, got {len(value)}")
+        for name in ("seu_filters", "teu_filters", "post_filters"):
+            for index, count in enumerate(getattr(self, name)):
+                require_integer("StreamConfig", f"{name}[{index}]", count, 1)
         for act in self.activations:
             if act not in _ACTIVATIONS:
                 raise ContractError(f"unknown activation {act!r}")
@@ -78,17 +81,20 @@ class StreamParams:
     def named(self):
         yield from named_conv_stack("post", self.post)
         if self.proj is not None:
-            for leaf, tensor in self.proj.named():
-                yield f"proj.{leaf}", tensor
+            yield from prefixed("proj.", self.proj.named())
         yield "ln.gain", self.ln_gain
         yield "ln.shift", self.ln_shift
+
+
+def prefixed(prefix, named):
+    """The (name, tensor) pairs of `named` with `prefix` put before every name."""
+    return ((prefix + name, tensor) for name, tensor in named)
 
 
 def named_conv_stack(prefix, layers):
     """(name, tensor) leaves of a conv stack, layers numbered from 1: `{prefix}{i}.kernel`."""
     for idx, conv in enumerate(layers, start=1):
-        for leaf, tensor in conv.named():
-            yield f"{prefix}{idx}.{leaf}", tensor
+        yield from prefixed(f"{prefix}{idx}.", conv.named())
 
 
 def init_conv_params(rng, kernel_width, c_in, c_out):

@@ -166,7 +166,7 @@ def test_attention_with_zero_output_projection_is_identity():
     pose = random_pose(rng, dims)
     plain = build_variant(variant_config("seu+teu"), dims, seed=5)
     gated = build_variant(variant_config("full"), dims, seed=5)
-    gated.pose.attention.w_o.data[:] = 0.0
+    gated.pose.tail.attention.w_o.data[:] = 0.0
     np.testing.assert_array_equal(
         forward(plain, pose=pose).data, forward(gated, pose=pose).data
     )
@@ -342,6 +342,9 @@ BAD_MANIFESTS = {
     "frames-zero": lambda m: _with_dims(m, frames=0),
     "stream-list": lambda m: _with_dims(m, stream=[1, 2]),
     "stream-width-string": lambda m: _with_dims(m, stream={"post_filters": [3, 3, "wide"]}),
+    # a zero or negative filter count used to escape as ZeroDivisionError or OverflowError
+    "post-filters-zero": lambda m: _with_dims(m, stream={**m["dims"]["stream"], "post_filters": [3, 3, 0]}),
+    "post-filters-negative": lambda m: _with_dims(m, stream={**m["dims"]["stream"], "post_filters": [3, 3, -4]}),
     # a manifest written before kernel widths, coords and heads became constants
     # and channel_dim became the last post filter count
     "parent-dims-keys": lambda m: _with_dims(m, coords=3, heads=4, stream={
@@ -357,6 +360,16 @@ BAD_MANIFESTS = {
     "rgb-width-huge": lambda m: _with_dims(m, rgb_width=10**7),
     "shape-total": lambda m: {**m, "tensors": [
         [name, [size + 1 for size in shape] if name == "classifier.bias" else shape]
+        for name, shape in m["tensors"]
+    ]},
+    # these keep the payload size, so only the comparison with the build's list catches them;
+    # a swap used to load, each tensor reading the other's payload slice
+    "swap-entries": lambda m: {**m, "tensors": [m["tensors"][1], m["tensors"][0], *m["tensors"][2:]]},
+    "rename-entry": lambda m: {**m, "tensors": [
+        ["classifier.offset" if name == "classifier.bias" else name, shape] for name, shape in m["tensors"]
+    ]},
+    "reshape-two": lambda m: {**m, "tensors": [
+        [name, {"classifier.weight": shape[::-1], "classifier.bias": [1, *shape]}.get(name, shape)]
         for name, shape in m["tensors"]
     ]},
 }

@@ -108,3 +108,17 @@ def test_non_finite_payload_error_names_file_and_offset(name, originals):
     path.write_bytes(bytes(blob))
     with pytest.raises(ParseError, match=re.escape(f"{path}: non-finite value at byte offset {offset}")):
         FORMATS[name][1](path)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_payload_must_end_the_file_exactly(name, originals):
+    # one container reader serves all three formats, so they share these errors
+    root, blobs = originals
+    blob, load = blobs[name], FORMATS[name][1]
+    path = root / f"length.{name}"
+    path.write_bytes(blob[:-8])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: payload truncated at byte offset {len(blob) - 8}")):
+        load(path)
+    path.write_bytes(blob + bytes(8))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: 8 trailing bytes at byte offset {len(blob)}")):
+        load(path)

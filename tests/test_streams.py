@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,12 @@ def test_stream_config_validation():
         StreamConfig(seu_filters=(32, 48))
     with pytest.raises(ContractError):
         StreamConfig(activations=("relu", "relu", "softplus"))
+    # every filter count is an integer >= 1, and the error names the entry
+    for name, bad, index in (("post_filters", (3, 3, 0), 2), ("post_filters", (3, 3, -4), 2),
+                             ("seu_filters", (2, 2.5, 2), 1), ("teu_filters", (True, 2, 2), 0),
+                             ("post_filters", (3, 3, "wide"), 2)):
+        with pytest.raises(ContractError, match=re.escape(f"StreamConfig.{name}[{index}] must be an integer >= 1")):
+            StreamConfig(**{name: bad})
     config = StreamConfig()
     assert config.post_filters[-1] == config.channel_dim == 120
     # the stream width is the last post filter count, never set on its own

@@ -217,6 +217,8 @@ def test_dense_mismatch_error():
         ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
         ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(5)))
+    with pytest.raises(DimensionError, match="0-d"):
+        ad.dense(ad.Tensor(np.float64(1.0)), ad.Tensor(np.zeros((1, 2))), ad.Tensor(np.zeros(2)))
 
 
 def test_matmul_matches_loop_oracle():
