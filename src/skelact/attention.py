@@ -45,8 +45,9 @@ def init_attention_params(rng, model_dim, heads=HEADS):
     w = model_dim // heads
     stacked = [np.empty((model_dim, model_dim)) for _ in range(3)]
     # draw order q_0, k_0, v_0, q_1, ...; each block goes straight into its
-    # columns, so building a wide layer holds no second copy of its weights
-    for i in range(heads):
+    # columns, so building a wide layer holds no second copy of its weights;
+    # with rng None (a checkpoint load) they are left unwritten
+    for i in range(heads if rng is not None else 0):
         for projection in stacked:
             projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w), model_dim, w).data
     w_q, w_k, w_v = (ad.Tensor(projection, requires_grad=True) for projection in stacked)

@@ -553,16 +553,18 @@ def gradient_check(f, x, eps=1e-5):
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), as a trainable tensor."""
+    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), as a trainable tensor.
+
+    With rng None nothing is drawn or written: the tensor holds uninitialised
+    memory, for a checkpoint load to bind to its payload. `constant` and the
+    modules' init functions treat rng None the same way.
+    """
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-def zeros(shape):
-    """A trainable tensor of zeros."""
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def ones(shape):
-    """A trainable tensor of ones."""
-    return Tensor(np.ones(shape), requires_grad=True)
+def constant(rng, shape, value):
+    """A trainable tensor filled with `value`; uninitialised when rng is None, as in `glorot_uniform`."""
+    return Tensor(np.empty(shape) if rng is None else np.full(shape, value), requires_grad=True)

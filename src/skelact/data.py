@@ -15,6 +15,7 @@ mean joint-to-spine distance so scale is normalized too.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -213,46 +214,71 @@ def generate_synthetic(spec, target=TARGET_FRAMES):
 
 
 def write_container(path, magic, header, arrays):
-    """Write `magic`, the `header` bytes, then each array as little-endian float64."""
+    """Write `magic`, the `header` bytes, then each array as little-endian float64.
+
+    A C-contiguous `<f8` array is written from its own buffer, with no copy.
+    """
     with open(path, "wb") as fh:
         fh.write(magic + header)
         for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def read_container(path, magic, header_size, parse_header):
-    """(header, payload) of a container file; the payload is a read-only float64 view of its bytes.
+    """(header, payload) of a container file; the payload is an owned, writable float64 array.
 
     Once the magic and `header_size` header bytes are present,
-    `parse_header(path, blob)` returns (header, payload offset, float64 count).
-    The payload must end the file exactly and hold only finite values.
+    `parse_header(path, head, read)` returns (header, float64 count): `head`
+    is the file's bytes up to there, and `read(n, what)` returns the next n
+    bytes, or raises ParseError naming `what` if the file is shorter. The
+    payload follows whatever was read, must end the file exactly and must
+    hold only finite values. Its length is checked against the file's size
+    before it is allocated, and it is read straight into the returned array.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != magic:
-        raise ParseError(f"{path}: bad magic at byte offset 0, expected {magic.decode()}")
-    if len(blob) < 4 + header_size:
-        raise ParseError(f"{path}: truncated header at byte offset {len(blob)}")
-    header, offset, count = parse_header(path, blob)
-    end = offset + 8 * count
-    if end > len(blob):
-        raise ParseError(f"{path}: payload truncated at byte offset {len(blob)}, it ends at {end}")
-    if end < len(blob):
-        raise ParseError(f"{path}: {len(blob) - end} trailing bytes at byte offset {end}")
-    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(4 + header_size)
+        if head[:4] != magic:
+            raise ParseError(f"{path}: bad magic at byte offset 0, expected {magic.decode()}")
+        if len(head) < 4 + header_size:
+            raise ParseError(f"{path}: truncated header at byte offset {len(head)}")
+
+        def read(n, what):
+            start = fh.tell()
+            if start + n > size:
+                raise ParseError(f"{path}: {what} truncated at byte offset {size}")
+            chunk = fh.read(n)
+            if len(chunk) < n:
+                raise ParseError(f"{path}: {what} truncated at byte offset {start + len(chunk)}")
+            return chunk
+
+        header, count = parse_header(path, head, read)
+        offset = fh.tell()
+        end = offset + 8 * count
+        if end > size:
+            raise ParseError(f"{path}: payload truncated at byte offset {size}, it ends at {end}")
+        if end < size:
+            raise ParseError(f"{path}: {size - end} trailing bytes at byte offset {end}")
+        payload = np.empty(count, dtype="<f8")
+        got = fh.readinto(payload)
+        # the file may have changed size since fstat: never hand out unread memory
+        if got < 8 * count:
+            raise ParseError(f"{path}: payload truncated at byte offset {offset + got}, it ends at {end}")
+        if fh.read(1):
+            raise ParseError(f"{path}: trailing bytes at byte offset {end}")
     finite = np.isfinite(payload)
     if not finite.all():
         raise ParseError(f"{path}: non-finite value at byte offset {offset + 8 * int(np.argmin(finite))}")
     return header, payload
 
 
-def _skeleton_header(path, blob):
-    frames, joints, subjects, spine_index, label = struct.unpack("<5I", blob[4:24])
+def _skeleton_header(path, head, read):
+    frames, joints, subjects, spine_index, label = struct.unpack("<5I", head[4:24])
     if frames < 1 or joints < 1 or subjects < 1:
         raise ParseError(f"{path}: empty dimensions in header at byte offset 4")
     if spine_index >= joints:
         raise ParseError(f"{path}: spine index out of range at byte offset 16")
-    return (frames, joints, subjects, spine_index, label), 24, frames * subjects * joints * COORDS
+    return (frames, joints, subjects, spine_index, label), frames * subjects * joints * COORDS
 
 
 def write_skeleton_file(path, sample):
@@ -264,17 +290,17 @@ def write_skeleton_file(path, sample):
 def load_skeleton_file(path):
     header, payload = read_container(path, _SKL_MAGIC, 20, _skeleton_header)
     frames, joints, subjects, spine_index, label = header
-    positions = payload.reshape(frames, subjects, joints, COORDS).copy()
+    positions = payload.reshape(frames, subjects, joints, COORDS)
     return RawSkeletonSample(positions, joints, subjects, spine_index, label)
 
 
-def _feature_header(path, blob):
-    frames, width, label = struct.unpack("<3I", blob[4:16])
+def _feature_header(path, head, read):
+    frames, width, label = struct.unpack("<3I", head[4:16])
     if width != FEATURE_WIDTH:
         raise ParseError(f"{path}: feature width {width} at byte offset 8, must be {FEATURE_WIDTH}")
     if frames < 1:
         raise ParseError(f"{path}: empty frame count at byte offset 4")
-    return (frames, label), 16, frames * width
+    return (frames, label), frames * width
 
 
 def write_feature_file(path, fseq):
@@ -284,4 +310,4 @@ def write_feature_file(path, fseq):
 
 def load_feature_file(path):
     (frames, label), payload = read_container(path, _FTR_MAGIC, 12, _feature_header)
-    return FrameFeatureSequence(payload.reshape(frames, FEATURE_WIDTH).copy(), label)
+    return FrameFeatureSequence(payload.reshape(frames, FEATURE_WIDTH), label)

@@ -157,18 +157,30 @@ def _component_rng(seed, component):
     return np.random.default_rng([seed, ids[component]])
 
 
-def init_tail(seed, branch, width, hidden, use_attention):
-    """The tail of `branch` ("pose" or "rgb") over rows of `width`, drawn from that branch's streams."""
+def init_tail(component_rng, branch, width, hidden, use_attention):
+    """The tail of `branch` ("pose" or "rgb") over rows of `width`.
+
+    `component_rng(name)` gives the stream of component `name`, or None to draw nothing.
+    """
     attention = None
     if use_attention:
-        attention = init_attention_params(_component_rng(seed, f"{branch}.attention"), width)
-    lstm_rng = _component_rng(seed, f"{branch}.lstm")
+        attention = init_attention_params(component_rng(f"{branch}.attention"), width)
+    lstm_rng = component_rng(f"{branch}.lstm")
     fwd, bwd = (init_lstm_params(lstm_rng, width, hidden) for _ in range(2))
     return TailParams(attention, fwd, bwd)
 
 
 def build_variant(ablation, dims, seed=0):
     """Construct and initialize exactly the sub-modules the variant needs."""
+    return _build(ablation, dims, seed, lambda component: _component_rng(seed, component))
+
+
+def _build(ablation, dims, seed, component_rng):
+    """The variant's modules, each drawn from `component_rng(name)`.
+
+    Where that returns None the tensors are allocated and left unwritten
+    (see `ad.glorot_uniform`), for `load_checkpoint` to bind.
+    """
     cfg = dims.stream
     pose = None
     rgb = None
@@ -182,28 +194,24 @@ def build_variant(ablation, dims, seed=0):
             spatial_in, spatial_kernels, spatial_width = flat, TEU_KERNELS, seu_out
         temporal_in, temporal_width = (dims.frames, flat) if ablation.use_teu else (flat, teu_out)
         spatial_enc = init_conv_stack(
-            _component_rng(seed, "pose.spatial.enc"), spatial_in, cfg.seu_filters, spatial_kernels
+            component_rng("pose.spatial.enc"), spatial_in, cfg.seu_filters, spatial_kernels
         )
         temporal_enc = init_conv_stack(
-            _component_rng(seed, "pose.temporal.enc"), temporal_in, cfg.teu_filters, TEU_KERNELS
+            component_rng("pose.temporal.enc"), temporal_in, cfg.teu_filters, TEU_KERNELS
         )
-        spatial_stream = init_stream_params(
-            _component_rng(seed, "pose.spatial.stream"), spatial_width, cfg
-        )
-        temporal_stream = init_stream_params(
-            _component_rng(seed, "pose.temporal.stream"), temporal_width, cfg
-        )
-        tail = init_tail(seed, "pose", cfg.channel_dim, dims.hidden, ablation.use_attention)
+        spatial_stream = init_stream_params(component_rng("pose.spatial.stream"), spatial_width, cfg)
+        temporal_stream = init_stream_params(component_rng("pose.temporal.stream"), temporal_width, cfg)
+        tail = init_tail(component_rng, "pose", cfg.channel_dim, dims.hidden, ablation.use_attention)
         pose = PoseBranchParams(spatial_enc, temporal_enc, spatial_stream, temporal_stream, tail)
     if ablation.branch in ("rgb", "both"):
-        rgb = init_tail(seed, "rgb", dims.rgb_width, dims.hidden, ablation.use_attention)
+        rgb = init_tail(component_rng, "rgb", dims.rgb_width, dims.hidden, ablation.use_attention)
 
     fused_width = 2 * dims.hidden
-    head_rng = _component_rng(seed, "classifier")
+    head_rng = component_rng("classifier")
     classifier_w = ad.glorot_uniform(
         head_rng, (fused_width, dims.num_classes), fused_width, dims.num_classes
     )
-    classifier_b = ad.zeros(dims.num_classes)
+    classifier_b = ad.constant(head_rng, dims.num_classes, 0.0)
     return ModelParams(ablation, dims, seed, pose, rgb, classifier_w, classifier_b)
 
 
@@ -313,18 +321,19 @@ def _is_size(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _checkpoint_header(path, blob):
-    """(ablation, dims, seed, tensor entries), payload offset and float64 count of a CKP2 file."""
-    (manifest_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + manifest_len:
-        raise ParseError(f"{path}: manifest truncated at byte offset {len(blob)}")
+def _checkpoint_header(path, head, read):
+    """(ablation, dims, seed, tensor entries) and float64 count of a CKP2 file."""
+    (manifest_len,) = struct.unpack("<I", head[4:8])
+    text = read(manifest_len, "manifest")
     try:
-        manifest = json.loads(blob[8:8 + manifest_len].decode("utf-8"))
+        manifest = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: unreadable manifest at byte offset 8 ({exc})") from None
     try:
         if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
             raise ContractError(f"manifest must be an object with keys {sorted(_MANIFEST_KEYS)}")
+        if not _is_size(manifest["seed"]):
+            raise ContractError(f"seed {manifest['seed']!r} is not a non-negative integer")
         entries = [[name, shape] for name, shape in manifest["tensors"]]
         for name, shape in entries:
             if not isinstance(name, str) or not isinstance(shape, list) or not all(map(_is_size, shape)):
@@ -334,19 +343,21 @@ def _checkpoint_header(path, blob):
     except (TypeError, ValueError) as exc:  # ContractError and DimensionError included
         raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
     count = sum(math.prod(shape) for _, shape in entries)
-    return (ablation, dims, manifest["seed"], entries), 8 + manifest_len, count
+    return (ablation, dims, manifest["seed"], entries), count
 
 
 def load_checkpoint(path):
-    """Rebuild the manifest's variant and copy the payload into its tensors in place.
+    """Rebuild the manifest's variant and bind its tensors to the payload, with no weight draw.
 
     The payload length is checked against the manifest's shapes before
-    anything is built, and the manifest's tensor list must then equal the
-    build's, names, shapes and order.
+    anything is built. The variant's structure is then built with every
+    tensor left unwritten, and the manifest's tensor list must equal the
+    build's, names, shapes and order. Each tensor's data becomes its
+    C-contiguous slice of the one payload array the file was read into.
     """
     (ablation, dims, seed, entries), payload = read_container(path, _CKPT_MAGIC, 4, _checkpoint_header)
     try:
-        params = build_variant(ablation, dims, seed)
+        params = _build(ablation, dims, seed, lambda component: None)
     except (TypeError, ValueError, MemoryError) as exc:
         raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
     named = list(params.named_parameters())
@@ -357,6 +368,6 @@ def load_checkpoint(path):
                              f"(tensor {index} is {entry}, the build has {expected})")
     start = 0
     for _, tensor in named:
-        tensor.data[...] = payload[start:start + tensor.data.size].reshape(tensor.data.shape)
+        tensor.data = payload[start:start + tensor.data.size].reshape(tensor.data.shape)
         start += tensor.data.size
     return params

@@ -34,9 +34,10 @@ class LstmParams:
 def init_lstm_params(rng, input_dim, hidden):
     w_x = ad.glorot_uniform(rng, (input_dim, 4 * hidden), input_dim, 4 * hidden)
     w_h = ad.glorot_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden)
-    bias = np.zeros(4 * hidden)
-    bias[hidden:2 * hidden] = 1.0  # forget gate starts open
-    return LstmParams(w_x, w_h, ad.Tensor(bias, requires_grad=True), hidden)
+    bias = ad.constant(rng, 4 * hidden, 0.0)
+    if rng is not None:
+        bias.data[hidden:2 * hidden] = 1.0  # forget gate starts open
+    return LstmParams(w_x, w_h, bias, hidden)
 
 
 def lstm_forward(seq, params):

@@ -101,7 +101,7 @@ def init_conv_params(rng, kernel_width, c_in, c_out):
     kernel = ad.glorot_uniform(
         rng, (kernel_width, c_in, c_out), kernel_width * c_in, kernel_width * c_out
     )
-    return ConvParams(kernel, ad.zeros(c_out))
+    return ConvParams(kernel, ad.constant(rng, c_out, 0.0))
 
 
 def init_conv_stack(rng, c_in, filters, kernels):
@@ -120,8 +120,8 @@ def init_stream_params(rng, in_channels, config):
     return StreamParams(
         post,
         proj,
-        ad.ones(config.channel_dim),
-        ad.zeros(config.channel_dim),
+        ad.constant(rng, config.channel_dim, 1.0),
+        ad.constant(rng, config.channel_dim, 0.0),
         activations=config.activations,
     )
 

@@ -1,10 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import skelact.autodiff as ad
+from skelact import model
 from skelact.attention import multi_head_self_attention
 from skelact.data import COORDS
 from skelact.errors import ContractError, DimensionError, ParseError
@@ -353,6 +357,9 @@ BAD_MANIFESTS = {
     }),
     "seed-string": lambda m: {**m, "seed": "x"},
     "seed-negative": lambda m: {**m, "seed": -1},
+    # a load draws nothing from the seed, so only the manifest check rejects these
+    "seed-float": lambda m: {**m, "seed": 1.5},
+    "seed-bool": lambda m: {**m, "seed": True},
     "tensor-entry-short": lambda m: {**m, "tensors": [["classifier.bias"]]},
     "tensors-int": lambda m: {**m, "tensors": 7},
     "tensor-name-list": lambda m: {**m, "tensors": [[["classifier", "bias"], [2]]]},
@@ -417,6 +424,60 @@ def test_checkpoint_restores_forward_exactly(tmp_path):
     save_checkpoint(path, params)
     after = forward(load_checkpoint(path), pose=pose).data
     np.testing.assert_array_equal(before, after)
+
+
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    params = build_variant(variant_config("full", "both"), tiny_dims(), seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+
+    def no_draw(seed, component):
+        raise AssertionError(f"the load drew the {component} weights")
+
+    monkeypatch.setattr(model, "_component_rng", no_draw)
+    loaded = load_checkpoint(path)
+    for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_loaded_tensors_are_views_of_one_payload(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_variant(variant_config("full", "both"), tiny_dims(), seed=3))
+    tensors = load_checkpoint(path).tensors()
+    payload = tensors[0].data.base
+    assert payload.flags.owndata and payload.size == sum(t.size for t in tensors)
+    for t in tensors:
+        assert not t.data.flags.owndata and np.shares_memory(t.data, payload)
+        assert t.data.flags.c_contiguous and t.data.flags.writeable
+
+
+def test_checkpoint_load_then_save_gives_the_same_bytes(tmp_path):
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(first, build_variant(variant_config("full", "both"), tiny_dims(), seed=5))
+    save_checkpoint(second, load_checkpoint(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+_PEAK_GROWTH = """
+import resource, sys
+from skelact.model import load_checkpoint
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+params = load_checkpoint(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_checkpoint_load_peak_memory_is_near_the_file_size(tmp_path):
+    # The payload is read once into the array the tensors view. A weight draw
+    # into the build, or a bytes copy of the file, would each add about 1x.
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, build_variant(variant_config("full", "both"), ModelDims(), seed=0))
+    size = path.stat().st_size
+    run = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, str(path)], capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 0, run.stderr
+    grown = 1024 * int(run.stdout)  # ru_maxrss is in KiB on Linux
+    assert grown < 1.5 * size, f"peak RSS grew by {grown} bytes loading a {size}-byte checkpoint"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Damaged SKL1, FTR1 and CKP2 files: the loaders raise ParseError and nothing else."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelact import data
 from skelact.data import (
     FrameFeatureSequence,
     RawSkeletonSample,
@@ -121,4 +123,21 @@ def test_payload_must_end_the_file_exactly(name, originals):
         load(path)
     path.write_bytes(blob + bytes(8))
     with pytest.raises(ParseError, match=re.escape(f"{path}: 8 trailing bytes at byte offset {len(blob)}")):
+        load(path)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@pytest.mark.parametrize("change", [-8, 8])
+def test_file_resized_after_its_size_was_read_is_a_parse_error(name, change, originals, monkeypatch):
+    # the reader is told the original size while the file on disk lost or gained 8 bytes,
+    # as if it changed between the fstat and the read: no unread memory may be returned
+    root, blobs = originals
+    blob, load = blobs[name], FORMATS[name][1]
+    path = root / f"resized.{name}"
+    path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+    fstat = data.os.fstat
+    monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size - change))
+    expected = (f"payload truncated at byte offset {len(blob) + change}" if change < 0
+                else f"trailing bytes at byte offset {len(blob)}")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {expected}")):
         load(path)

@@ -7,7 +7,7 @@ import pytest
 import skelact.autodiff as ad
 from skelact.data import Sample, SyntheticSpec, generate_synthetic
 from skelact.errors import ContractError
-from skelact.model import ModelDims, build_variant, load_checkpoint, variant_config
+from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
 from skelact.streams import StreamConfig
 from skelact.training import (
     CHUNK,
@@ -403,6 +403,21 @@ def test_train_writes_checkpoints(tmp_path):
     for (name, a), (_, b) in zip(last.named_parameters(), params.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     load_checkpoint(best)  # well formed
+
+
+def test_adam_epoch_from_a_loaded_model_equals_one_from_a_build(tmp_path):
+    # loaded tensors are views of one payload array; a build's own their memory
+    dataset = tiny_dataset()
+    path = tmp_path / "start.ckpt"
+    save_checkpoint(path, tiny_model(seed=4))
+    loaded = load_checkpoint(path)
+    built = tiny_model(seed=0)
+    for t, source in zip(built.tensors(), loaded.tensors()):
+        t.data[...] = source.data
+    config = TrainConfig(optimizer="adam", epochs=1, seed=5)
+    assert train(dataset, loaded, config) == train(dataset, built, config)
+    for (name, a), (_, b) in zip(loaded.named_parameters(), built.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
 def test_no_validation_split_skips_best_checkpoint(tmp_path):
