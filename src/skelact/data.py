@@ -310,4 +310,7 @@ def write_feature_file(path, fseq):
 
 def load_feature_file(path):
     (frames, label), payload = read_container(path, _FTR_MAGIC, 12, _feature_header)
-    return FrameFeatureSequence(payload.reshape(frames, FEATURE_WIDTH), label)
+    # read_container has checked the width and every value: skip the constructor's second pass
+    fseq = object.__new__(FrameFeatureSequence)
+    fseq.features, fseq.label = payload.reshape(frames, FEATURE_WIDTH), label
+    return fseq

@@ -2,7 +2,11 @@
 
 The learning rate follows inverse-time decay, lr/(1 + decay*step), with
 `step` counting completed optimizer steps. L2 regularization enters through
-the gradient (g + lambda*p) for both optimizers.
+the gradient (g + lambda*p) for both optimizers; `Sgd` and `Adam` share one
+constructor and one walk over CHUNK-sized blocks and differ only in the
+per-block update. `OPTIMIZERS` maps a config's optimizer name to its class.
+The validation pass of `train` and `evaluate` are one no-grad scorer,
+`_score`: it checks the clips once and runs EVAL_CHUNK clips per forward.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from .data import COORDS
 from .errors import ContractError, require_finite, require_integer
 from .model import forward, save_checkpoint
 
-DEFAULT_LR = {"adam": 1e-3, "sgd": 0.1}
-EVAL_CHUNK = 16  # clips per forward pass in evaluate()
+EVAL_CHUNK = 16  # clips per no-grad forward pass when scoring validation or evaluation clips
 ADAM_BETAS = (0.9, 0.999)  # moment decay rates (Kingma & Ba 2015 defaults)
 ADAM_EPS = 1e-8
 
@@ -38,7 +41,7 @@ def cross_entropy(logits, label):
 @dataclass
 class TrainConfig:
     optimizer: str = "sgd"
-    lr: float | None = None  # resolved per optimizer when left unset
+    lr: float | None = None  # the optimizer's default_lr when left unset
     lr_decay: float = 1e-6
     l2_lambda: float = 1e-5
     batch_size: int = 4
@@ -47,10 +50,10 @@ class TrainConfig:
     val_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.optimizer not in DEFAULT_LR:
+        if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.lr is None:
-            self.lr = DEFAULT_LR[self.optimizer]
+            self.lr = OPTIMIZERS[self.optimizer].default_lr
         for name in ("lr", "lr_decay", "l2_lambda", "val_fraction"):
             require_finite("TrainConfig", name, getattr(self, name), low=0)
         for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
@@ -80,87 +83,87 @@ def _blocks(*arrays):
         yield [f[start:start + CHUNK] for f in flats]
 
 
-class Sgd:
-    """SGD with L2 and inverse-time lr decay; `step()` updates each `t.data` in place."""
+class _Optimizer:
+    """L2 and inverse-time lr decay around a per-block update; `step()` walks every
+    tensor in CHUNK-sized blocks and updates `t.data` and the per-parameter state
+    lists named in `state` (zeros at construction) in place."""
 
-    def __init__(self, tensors, lr=0.1, l2_lambda=1e-5, lr_decay=1e-6):
+    default_lr = None
+    state = ()
+
+    def __init__(self, tensors, lr=None, l2_lambda=1e-5, lr_decay=1e-6):
         self.tensors = list(tensors)
-        self.lr = lr
+        self.lr = self.default_lr if lr is None else lr
         self.l2 = l2_lambda
         self.decay = lr_decay
         self.steps = 0
-        self._scratch = np.empty(CHUNK)
-
-    def step(self):
-        lr_t = self.lr / (1.0 + self.decay * self.steps)
-        for t in self.tensors:
-            if t.grad is None:
-                raise ContractError("sgd step with an unpopulated gradient")
-            for p, g in _blocks(_writable(t), t.grad):
-                d = self._scratch[:p.size]
-                # p - lr_t * (g + l2*p), op for op
-                np.multiply(p, self.l2, out=d)
-                d += g
-                d *= lr_t
-                p -= d
-        self.steps += 1
-
-
-class Adam:
-    """Adam (Kingma & Ba 2015) with L2 and lr decay; `step()` updates each `t.data`
-    and the moments `m`, `v` in place."""
-
-    def __init__(self, tensors, lr=1e-3, l2_lambda=1e-5, lr_decay=1e-6):
-        self.tensors = list(tensors)
-        self.lr = lr
-        self.l2 = l2_lambda
-        self.decay = lr_decay
-        self.steps = 0
-        self.m = [np.zeros(t.data.shape) for t in self.tensors]
-        self.v = [np.zeros(t.data.shape) for t in self.tensors]
+        for name in self.state:
+            setattr(self, name, [np.zeros(t.data.shape) for t in self.tensors])
         self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
     def step(self):
+        kind = type(self).__name__.lower()
         lr_t = self.lr / (1.0 + self.decay * self.steps)
         self.steps += 1
-        b1, b2 = ADAM_BETAS
-        correct1 = 1.0 - b1 ** self.steps
-        correct2 = 1.0 - b2 ** self.steps
-        g_buf, d_buf = self._scratch
         for idx, t in enumerate(self.tensors):
             if t.grad is None:
-                raise ContractError("adam step with an unpopulated gradient")
-            m, v = self.m[idx], self.v[idx]
-            if m.shape != t.data.shape or v.shape != t.data.shape:
-                raise ContractError(
-                    f"adam state shape {m.shape} does not match parameter {t.data.shape}"
-                )
-            for p, g_raw, m_k, v_k in _blocks(_writable(t), t.grad, m, v):
-                g, d = g_buf[:p.size], d_buf[:p.size]
-                # the allocating form's operations, in its order:
-                # g = grad + l2*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-                # p -= lr_t*(m/c1) / (sqrt(v/c2) + eps)
-                np.multiply(p, self.l2, out=g)
-                g += g_raw
-                m_k *= b1
-                np.multiply(g, 1.0 - b1, out=d)
-                m_k += d
-                v_k *= b2
-                np.multiply(g, 1.0 - b2, out=d)
-                d *= g
-                v_k += d
-                np.divide(m_k, correct1, out=g)
-                g *= lr_t
-                np.divide(v_k, correct2, out=d)
-                np.sqrt(d, out=d)
-                d += ADAM_EPS
-                g /= d
-                p -= g
+                raise ContractError(f"{kind} step with an unpopulated gradient")
+            state = [getattr(self, name)[idx] for name in self.state]
+            for s in state:
+                if s.shape != t.data.shape:
+                    raise ContractError(f"{kind} state shape {s.shape} does not match parameter {t.data.shape}")
+            for p, g, *s in _blocks(_writable(t), t.grad, *state):
+                self._update(lr_t, p, g, *s, *(buf[:p.size] for buf in self._scratch))
+
+
+class Sgd(_Optimizer):
+    """Plain SGD with L2 in the gradient."""
+
+    default_lr = 0.1
+
+    def _update(self, lr_t, p, g, d, _):
+        # p - lr_t * (g + l2*p), op for op
+        np.multiply(p, self.l2, out=d)
+        d += g
+        d *= lr_t
+        p -= d
+
+
+class Adam(_Optimizer):
+    """Adam (Kingma & Ba 2015) with moments `m` and `v`, L2 in the gradient."""
+
+    default_lr = 1e-3
+    state = ("m", "v")
+
+    def _update(self, lr_t, p, g_raw, m, v, g, d):
+        b1, b2 = ADAM_BETAS
+        # the allocating form's operations, in its order:
+        # g = grad + l2*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # p -= lr_t*(m/c1) / (sqrt(v/c2) + eps), c = 1 - b**steps
+        np.multiply(p, self.l2, out=g)
+        g += g_raw
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=d)
+        m += d
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=d)
+        d *= g
+        v += d
+        np.divide(m, 1.0 - b1 ** self.steps, out=g)
+        g *= lr_t
+        np.divide(v, 1.0 - b2 ** self.steps, out=d)
+        np.sqrt(d, out=d)
+        d += ADAM_EPS
+        g /= d
+        p -= g
+
+
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
 def make_optimizer(params, config):
-    kind = Adam if config.optimizer == "adam" else Sgd
-    return kind(params.tensors(), lr=config.lr, l2_lambda=config.l2_lambda, lr_decay=config.lr_decay)
+    return OPTIMIZERS[config.optimizer](params.tensors(), lr=config.lr, l2_lambda=config.l2_lambda,
+                                        lr_decay=config.lr_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def make_optimizer(params, config):
 
 
 def _check_clips(params, dataset, indices):
-    """Every clip at `indices` has each input the model's branches need, at its shape."""
+    """Each clip at `indices` has the inputs the model's branches need, at their shapes, and a valid label."""
     dims = params.dims
     needs = []
     if params.pose is not None:
@@ -184,6 +187,8 @@ def _check_clips(params, dataset, indices):
                 raise ContractError(
                     f"dataset sample {idx}: {field} shape {value.shape} does not match model dims {expected}"
                 )
+        if not 0 <= dataset[idx].label < dims.num_classes:
+            raise ContractError(f"label {dataset[idx].label} outside model's {dims.num_classes} classes")
 
 
 def _batch_forward(params, dataset, indices):
@@ -198,18 +203,20 @@ def _batch_forward(params, dataset, indices):
     return forward(params, pose=pose, features=features, logits=True), labels
 
 
-def _split_metrics(params, dataset, indices, batch_size):
+def _score(params, dataset, indices):
+    """Summed loss and [true, predicted] confusion matrix of the clips at `indices`,
+    checked once, then scored under no_grad EVAL_CHUNK clips per forward."""
     _check_clips(params, dataset, indices)
-    losses = 0.0
-    correct = 0
+    classes = params.dims.num_classes
+    loss_sum = 0.0
+    confusion = np.zeros((classes, classes), dtype=np.int64)
     with ad.no_grad():
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start:start + batch_size]
+        for start in range(0, len(indices), EVAL_CHUNK):
+            chunk = indices[start:start + EVAL_CHUNK]
             logits, labels = _batch_forward(params, dataset, chunk)
-            losses += float(cross_entropy(logits, labels).data) * len(chunk)
-            correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
-    n = max(1, len(indices))
-    return losses / n, 100.0 * correct / n
+            loss_sum += float(cross_entropy(logits, labels).data) * len(chunk)
+            np.add.at(confusion, (labels, np.argmax(logits.data, axis=-1)), 1)
+    return loss_sum, confusion
 
 
 def format_record(record):
@@ -260,6 +267,12 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     optimizer = make_optimizer(params, config)
     records = []
     best = None  # (accuracy, epoch, saved tensor data)
+
+    def emit(epoch, split, loss, accuracy):
+        records.append({"epoch": epoch, "split": split, "loss": loss, "accuracy": accuracy})
+        if log_fn:
+            log_fn(format_record(records[-1]))
+
     for epoch in range(1, config.epochs + 1):
         epoch_order = train_idx[rng.permutation(len(train_idx))]
         epoch_loss = 0.0
@@ -282,21 +295,11 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
             params.zero_grads()
             ad.backward(loss)
             optimizer.step()
-        record = {
-            "epoch": epoch,
-            "split": "train",
-            "loss": epoch_loss / len(epoch_order),
-            "accuracy": 100.0 * epoch_correct / len(epoch_order),
-        }
-        records.append(record)
-        if log_fn:
-            log_fn(format_record(record))
+        emit(epoch, "train", epoch_loss / len(epoch_order), 100.0 * epoch_correct / len(epoch_order))
         if len(val_idx):
-            val_loss, val_acc = _split_metrics(params, dataset, val_idx, config.batch_size)
-            record = {"epoch": epoch, "split": "val", "loss": val_loss, "accuracy": val_acc}
-            records.append(record)
-            if log_fn:
-                log_fn(format_record(record))
+            loss_sum, confusion = _score(params, dataset, val_idx)
+            val_acc = 100.0 * int(np.trace(confusion)) / len(val_idx)
+            emit(epoch, "val", loss_sum / len(val_idx), val_acc)
             if best is None or val_acc > best[0]:
                 best = (val_acc, epoch, [t.data.copy() for t in params.tensors()])
 
@@ -316,16 +319,5 @@ def evaluate(dataset, params):
     """Accuracy percentage and a [true, predicted] confusion matrix."""
     if not dataset:
         raise ContractError("evaluation dataset is empty")
-    classes = params.dims.num_classes
-    _check_clips(params, dataset, range(len(dataset)))
-    for item in dataset:
-        if not 0 <= item.label < classes:
-            raise ContractError(f"label {item.label} outside model's {classes} classes")
-    confusion = np.zeros((classes, classes), dtype=np.int64)
-    with ad.no_grad():
-        for start in range(0, len(dataset), EVAL_CHUNK):
-            chunk = range(start, min(start + EVAL_CHUNK, len(dataset)))
-            logits, labels = _batch_forward(params, dataset, chunk)
-            np.add.at(confusion, (labels, np.argmax(logits.data, axis=-1)), 1)
-    accuracy = 100.0 * np.trace(confusion) / len(dataset)
-    return accuracy, confusion
+    _, confusion = _score(params, dataset, range(len(dataset)))
+    return 100.0 * np.trace(confusion) / len(dataset), confusion

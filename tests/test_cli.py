@@ -1,10 +1,14 @@
 import os
+import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from skelact.cli import load_dataset_dir
+from skelact.errors import ContractError
 from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
 from skelact.streams import StreamConfig
 
@@ -154,6 +158,37 @@ def test_train_missing_modality_names_it(workspace, tmp_path):
     assert "RGB" in result.stderr
     assert result.stderr.strip() != ""
     assert "error" in result.stderr
+
+
+def test_clip_whose_skeleton_and_feature_labels_disagree_is_rejected(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    ftr = data / "sample_00000_c0.ftr"
+    raw = bytearray(ftr.read_bytes())
+    raw[12:16] = struct.pack("<I", 1)  # FTR1 header: magic, frames, width, label
+    ftr.write_bytes(bytes(raw))
+    with pytest.raises(ContractError) as info:
+        load_dataset_dir(data, True, True)
+    message = str(info.value)
+    assert str(data / "sample_00000_c0.skl") in message and str(ftr) in message
+    assert "label 0" in message and "label 1" in message
+    # a run that reads one of the two files has no second label to disagree with
+    assert load_dataset_dir(data, True, False)[0][0].label == 0
+    assert load_dataset_dir(data, False, True)[0][0].label == 1
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("settings,warns", [
+    pytest.param("optimizer=sgd\nlr=1e6\nepochs=1\n", True, id="lr-1e6"),  # lr * l2_lambda = 10
+    pytest.param("epochs=1\n", False, id="defaults"),  # sgd at lr 0.1, l2_lambda 1e-5
+])
+def test_sgd_l2_factor_at_or_below_zero_warns(workspace, tmp_path, command, settings, warns):
+    config = tmp_path / "run.cfg"
+    config.write_text(settings)
+    out = ["--variant", "baseline", "--out", str(tmp_path / "x.ckpt")] if command == "train" else []
+    result = run_cli(command, "--data", str(workspace / "data"), "--config", str(config), *out)
+    assert ("warning: sgd lr*l2_lambda = 10 >= 1" in result.stderr) == warns, result.stderr
+    assert "warning" not in result.stdout
 
 
 def test_unknown_config_key_rejected(workspace, tmp_path):

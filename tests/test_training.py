@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import skelact.autodiff as ad
 from skelact.data import Sample, SyntheticSpec, generate_synthetic
@@ -14,7 +16,8 @@ from skelact.training import (
     Adam,
     Sgd,
     TrainConfig,
-    _split_metrics,
+    _batch_forward,
+    _score,
     cross_entropy,
     evaluate,
     format_record,
@@ -221,12 +224,24 @@ CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
 CHUNK_SHAPES = [(n,) for n in CHUNK_SIZES] + [(1, 1, 1), (7, 31, 151), (128, 256), (3, 10923), (17, 5783)]
 
 
+# a drawn shape: a fixed one, a flat size within 2 of a CHUNK multiple, any flat size, or a small n-d one
+STEP_SHAPES = st.one_of(
+    st.sampled_from(CHUNK_SHAPES),
+    st.builds(lambda k, offset: (k * CHUNK + offset,), st.integers(1, 3), st.integers(-2, 2)),
+    st.integers(1, 3 * CHUNK).map(lambda n: (n,)),
+    st.lists(st.integers(1, 9), max_size=3).map(tuple),
+)
+
+
 @pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_in_place_step_equals_allocating_reference(kind):
+@settings(max_examples=25, deadline=None)
+@given(shapes=st.lists(STEP_SHAPES, min_size=1, max_size=4),
+       lr=st.floats(1e-6, 1.0), l2=st.floats(0.0, 1e-2), decay=st.floats(0.0, 1.0))
+@example(shapes=CHUNK_SHAPES, lr=3e-2, l2=1e-3, decay=0.1)
+def test_in_place_step_equals_allocating_reference(kind, shapes, lr, l2, decay):
     assert [math.prod(shape) for shape in CHUNK_SHAPES[len(CHUNK_SIZES):]] == CHUNK_SIZES
     rng = np.random.default_rng(31)
-    lr, l2, decay = 3e-2, 1e-3, 0.1
-    tensors = [param_tensor(rng.normal(size=shape)) for shape in CHUNK_SHAPES]
+    tensors = [param_tensor(rng.normal(size=shape)) for shape in shapes]
     reference = [t.data.copy() for t in tensors]
     moments = [(np.zeros(t.data.shape), np.zeros(t.data.shape)) for t in tensors]
     cls = Adam if kind == "adam" else Sgd
@@ -357,8 +372,6 @@ def test_loss_decreases_over_first_five_full_batch_steps():
     params = tiny_model()
     opt = Adam(params.tensors(), lr=1e-3, l2_lambda=0.0, lr_decay=0.0)
     losses = []
-    from skelact.training import _batch_forward
-
     for _ in range(5):
         params.zero_grads()
         logits, labels = _batch_forward(params, dataset, range(len(dataset)))
@@ -503,9 +516,28 @@ def test_every_clip_shape_checked_before_stacking():
     with pytest.raises(ContractError, match="sample 4: pose shape"):
         evaluate(dataset, params)
     with pytest.raises(ContractError, match="sample 4: pose shape"):
-        _split_metrics(params, dataset, np.arange(5), 2)
+        _score(params, dataset, np.arange(5))
     with pytest.raises(ContractError, match="sample 4: pose shape"):
         train(dataset, params, TrainConfig(epochs=1, val_fraction=0.0))
+
+
+def test_validation_record_is_evaluate_on_the_held_out_clips():
+    # train() scores its held-out clips with evaluate()'s scorer: the last
+    # split=val record is evaluate() of the final model on exactly those clips
+    dataset = tiny_dataset(classes=3, per_class=12)
+    params = tiny_model(classes=3)
+    config = TrainConfig(optimizer="adam", epochs=2, seed=4, val_fraction=0.5)
+    records = train(dataset, params, config)
+    order = np.random.default_rng(config.seed).permutation(len(dataset))
+    held_out = [dataset[i] for i in order[:int(round(len(dataset) * config.val_fraction))]]
+    assert len(held_out) > 16  # more than one EVAL_CHUNK
+    last = [r for r in records if r["split"] == "val"][-1]
+    accuracy, _ = evaluate(held_out, params)
+    assert last["accuracy"] == accuracy
+    with ad.no_grad():
+        logits, labels = _batch_forward(params, held_out, range(len(held_out)))
+    losses = [float(cross_entropy(ad.Tensor(row), label).data) for row, label in zip(logits.data, labels)]
+    assert abs(last["loss"] - sum(losses) / len(losses)) < 1e-12
 
 
 def test_evaluate_label_out_of_range_rejected():
