@@ -217,16 +217,6 @@ def transpose(x, axis1=-2, axis2=-1):
     return _node(np.swapaxes(x.data, axis1, axis2).copy(), (x,), bw)
 
 
-def reverse_rows(x):
-    """Reverse the row axis: -2 of a [..., T, D] tensor, the only axis of a vector."""
-    axis = max(x.data.ndim - 2, 0)
-
-    def bw(g):
-        _accumulate(x, np.flip(g, axis).copy())
-
-    return _node(np.flip(x.data, axis).copy(), (x,), bw)
-
-
 def concat(parts, axis=0):
     parts = list(parts)
     if not parts:

@@ -29,7 +29,7 @@ from .data import (
     write_skeleton_file,
 )
 from .errors import ContractError
-from .model import ModelDims, build_variant, load_checkpoint, variant_config
+from .model import BRANCHES, VARIANT_FLAGS, ModelDims, build_variant, load_checkpoint, variant_config
 from .training import TrainConfig, evaluate, train
 
 ABLATION_ROWS = [
@@ -99,7 +99,8 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
     """Preprocessed samples plus the dims implied by the files on disk.
 
     Clips are the `.skl` stems when the pose branch is needed, else the `.ftr`
-    stems; a clip read from both files must carry one label in both.
+    stems; when both are read, each stem must have both files, and a clip
+    must carry one label in both.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -109,6 +110,11 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
     paths = _dataset_paths(data_dir, suffix)
     if not paths:
         raise ContractError(f"no {what} ({suffix}) files in {data_dir}; the {branch} branch requires them")
+    if need_pose and need_rgb:
+        for ftr_path in _dataset_paths(data_dir, ".ftr"):
+            if not ftr_path.with_suffix(".skl").exists():
+                raise ContractError(f"missing skeleton file {ftr_path.with_suffix('.skl')} for {ftr_path}; "
+                                    "this run requires both modalities")
     samples = []
     joints_eff = None
     for path in paths:
@@ -301,8 +307,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train one variant")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--variant", required=True, choices=["baseline", "seu", "seu+teu", "full"])
-    p.add_argument("--branch", default="pose", choices=["pose", "rgb", "both"])
+    p.add_argument("--variant", required=True, choices=list(VARIANT_FLAGS))
+    p.add_argument("--branch", default="pose", choices=BRANCHES)
     p.add_argument("--config", help="key=value training settings file")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, default=None)
@@ -315,7 +321,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="train the four ablation variants, print a table")
     p.add_argument("--data", required=True)
-    p.add_argument("--branch", default="pose", choices=["pose", "rgb", "both"])
+    p.add_argument("--branch", default="pose", choices=BRANCHES)
     p.add_argument("--config", help="key=value training settings file")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_ablate)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import AttentionParams, init_attention_params, multi_head_self_attention
-from .data import COORDS, read_container, write_container
+from .data import COORDS, FEATURE_WIDTH, TARGET_FRAMES, read_container, write_container
 from .errors import ContractError, DimensionError, ParseError, require_integer
 from .recurrent import LstmParams, bilstm, init_lstm_params
 from .streams import (
@@ -43,6 +43,7 @@ VARIANT_FLAGS = {
     "seu+teu": (True, True, False),
     "full": (True, True, True),
 }
+BRANCHES = ("pose", "rgb", "both")
 
 
 @dataclass
@@ -56,7 +57,7 @@ class AblationConfig:
         for name in ("use_seu", "use_teu", "use_attention"):
             if not isinstance(getattr(self, name), bool):
                 raise ContractError(f"AblationConfig.{name} must be a bool, got {getattr(self, name)!r}")
-        if self.branch not in ("pose", "rgb", "both"):
+        if self.branch not in BRANCHES:
             raise ContractError(f"branch must be pose, rgb, or both, got {self.branch!r}")
 
 
@@ -69,9 +70,9 @@ def variant_config(name, branch="pose"):
 
 @dataclass
 class ModelDims:
-    frames: int = 20
+    frames: int = TARGET_FRAMES
     joints: int = 25
-    rgb_width: int = 1536
+    rgb_width: int = FEATURE_WIDTH
     hidden: int = 128
     num_classes: int = 4
     stream: StreamConfig = field(default_factory=StreamConfig)
@@ -366,8 +367,13 @@ def load_checkpoint(path):
         if entry != expected:
             raise ParseError(f"{path}: invalid manifest at byte offset 8 "
                              f"(tensor {index} is {entry}, the build has {expected})")
-    start = 0
-    for _, tensor in named:
-        tensor.data = payload[start:start + tensor.data.size].reshape(tensor.data.shape)
-        start += tensor.data.size
+    bind(params.tensors(), payload)
     return params
+
+
+def bind(tensors, flat):
+    """Rebind each tensor's data, in order, to its C-contiguous slice of the vector `flat`."""
+    start = 0
+    for t in tensors:
+        t.data = flat[start:start + t.data.size].reshape(t.data.shape)
+        start += t.data.size

@@ -5,6 +5,7 @@ numpy and the backward closure replays it in reverse (backpropagation
 through time). This keeps the graph small enough that training stays fast
 without changing any semantics. Both loops write every step into arrays
 allocated once per call, so a step costs a few ufunc calls and one matmul.
+`bilstm`'s reversed direction runs inside the node too (`reverse=True`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ def init_lstm_params(rng, input_dim, hidden):
     return LstmParams(w_x, w_h, bias, hidden)
 
 
-def lstm_forward(seq, params):
+def lstm_forward(seq, params, reverse=False):
     """Run the LSTM over all T steps from zero initial state: [..., T, D] -> [..., T, H].
 
     Leading axes are batch: every step advances all sequences at once as the
-    rows of one [B, H] state.
+    rows of one [B, H] state. With `reverse` the steps run last to first; output
+    row t is still the state after reading input row t.
     """
     if seq.data.ndim < 2:
         raise DimensionError(f"lstm_forward expects a 2-d sequence or a batch of them, got {seq.data.ndim}-d")
@@ -60,8 +62,9 @@ def lstm_forward(seq, params):
         raise DimensionError("lstm_forward: recurrent weight or bias shape inconsistent with hidden size")
 
     w_x, w_h, bias = params.w_x, params.w_h, params.bias
-    # time-major [T, B, *] so each step reads and writes contiguous rows
-    steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(-1, t_len, d), 0, 1))
+    # time-major [T, B, *] in step order, so each step reads and writes contiguous rows
+    order = slice(None, None, -1 if reverse else 1)
+    steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(-1, t_len, d), 0, 1)[order])
     batch = steps.shape[1]
     step_rows = steps.reshape(t_len * batch, d)
     # One tanh per step covers all four gates: sigmoid(z) = (1 + tanh(z/2))/2.
@@ -97,7 +100,7 @@ def lstm_forward(seq, params):
         np.multiply(a[:, 3 * h:], tanh_c[t], out=hidden[t + 1])
 
     def bw(g):
-        g_steps = np.swapaxes(g.reshape(batch, t_len, h), 0, 1)
+        g_steps = np.swapaxes(g.reshape(batch, t_len, h), 0, 1)[order]
         gate_i, gate_f, gate_g, gate_o = (gates[..., k * h:(k + 1) * h] for k in range(4))
         # Every factor that does not depend on the incoming gradient, for all T,
         # stored where the step loop scales it in place: dz_all starts as
@@ -142,14 +145,14 @@ def lstm_forward(seq, params):
         _accumulate(bias, dz_rows.sum(axis=0))
         if seq.requires_grad:
             d_steps = (dz_rows @ w_x.data.T).reshape(t_len, batch, d)
-            _accumulate(seq, np.swapaxes(d_steps, 0, 1).reshape(seq.data.shape))
+            _accumulate(seq, np.swapaxes(d_steps[order], 0, 1).reshape(seq.data.shape))
 
-    out = np.swapaxes(hidden[1:], 0, 1).reshape(seq.data.shape[:-1] + (h,))
+    out = np.swapaxes(hidden[1:][order], 0, 1).reshape(seq.data.shape[:-1] + (h,))
     return _node(out, (seq, w_x, w_h, bias), bw)
 
 
 def bilstm(seq, fwd, bwd):
-    """Forward pass plus a reversed pass re-aligned to time, feature-concatenated.
+    """A forward pass and a reversed pass over the same rows, feature-concatenated.
 
     [..., T, D] -> [..., T, 2H]; leading axes are batch.
     """
@@ -157,6 +160,4 @@ def bilstm(seq, fwd, bwd):
         raise DimensionError(
             f"bilstm: direction hidden sizes differ ({fwd.hidden} vs {bwd.hidden})"
         )
-    forward_out = lstm_forward(seq, fwd)
-    backward_out = ad.reverse_rows(lstm_forward(ad.reverse_rows(seq), bwd))
-    return ad.concat([forward_out, backward_out], axis=-1)
+    return ad.concat([lstm_forward(seq, fwd), lstm_forward(seq, bwd, reverse=True)], axis=-1)

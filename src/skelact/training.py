@@ -4,7 +4,9 @@ The learning rate follows inverse-time decay, lr/(1 + decay*step), with
 `step` counting completed optimizer steps. L2 regularization enters through
 the gradient (g + lambda*p) for both optimizers; `Sgd` and `Adam` share one
 constructor and one walk over CHUNK-sized blocks and differ only in the
-per-block update. `OPTIMIZERS` maps a config's optimizer name to its class.
+per-block update. The parameters live in one vector (each tensor's data a view
+of its slice), and so do Adam's moments; gradients stay per tensor, each walked
+where backward left it. `OPTIMIZERS` maps a config's optimizer name to its class.
 The validation pass of `train` and `evaluate` are one no-grad scorer,
 `_score`: it checks the clips once and runs EVAL_CHUNK clips per forward.
 """
@@ -19,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import COORDS
 from .errors import ContractError, require_finite, require_integer
-from .model import forward, save_checkpoint
+from .model import bind, forward, save_checkpoint
 
 EVAL_CHUNK = 16  # clips per no-grad forward pass when scoring validation or evaluation clips
 ADAM_BETAS = (0.9, 0.999)  # moment decay rates (Kingma & Ba 2015 defaults)
@@ -67,26 +69,11 @@ class TrainConfig:
 CHUNK = 32768
 
 
-def _writable(t):
-    """`t.data` as a C-contiguous, writeable float64 array, rebound on `t` when copied."""
-    data = t.data
-    if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
-        data = t.data = np.require(data, np.float64, "CW")
-    return data
-
-
-def _blocks(*arrays):
-    """Flat views of equal-size arrays, CHUNK elements at a time, in step."""
-    flats = [a.reshape(-1) for a in arrays]
-    size = flats[0].size
-    for start in range(0, size, CHUNK):
-        yield [f[start:start + CHUNK] for f in flats]
-
-
 class _Optimizer:
-    """L2 and inverse-time lr decay around a per-block update; `step()` walks every
-    tensor in CHUNK-sized blocks and updates `t.data` and the per-parameter state
-    lists named in `state` (zeros at construction) in place."""
+    """L2 and inverse-time lr decay around a per-block update. The tensors' data is
+    copied into one vector `flat` and each `t.data` bound to its slice; `step()`
+    walks each `t.grad` in CHUNK-sized blocks, updating the slices of `flat` and of
+    the state vectors named in `state` (zeros at construction) in place."""
 
     default_lr = None
     state = ()
@@ -97,23 +84,27 @@ class _Optimizer:
         self.l2 = l2_lambda
         self.decay = lr_decay
         self.steps = 0
+        self.flat = np.concatenate([np.ravel(t.data) for t in self.tensors], dtype=np.float64)
+        bind(self.tensors, self.flat)
         for name in self.state:
-            setattr(self, name, [np.zeros(t.data.shape) for t in self.tensors])
+            setattr(self, name, np.zeros(self.flat.size))
         self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
     def step(self):
         kind = type(self).__name__.lower()
         lr_t = self.lr / (1.0 + self.decay * self.steps)
         self.steps += 1
-        for idx, t in enumerate(self.tensors):
+        vectors = [self.flat, *(getattr(self, name) for name in self.state)]
+        offset = 0
+        for t in self.tensors:
             if t.grad is None:
                 raise ContractError(f"{kind} step with an unpopulated gradient")
-            state = [getattr(self, name)[idx] for name in self.state]
-            for s in state:
-                if s.shape != t.data.shape:
-                    raise ContractError(f"{kind} state shape {s.shape} does not match parameter {t.data.shape}")
-            for p, g, *s in _blocks(_writable(t), t.grad, *state):
-                self._update(lr_t, p, g, *s, *(buf[:p.size] for buf in self._scratch))
+            grad = t.grad.reshape(-1)
+            for start in range(0, t.size, CHUNK):
+                block = slice(offset + start, offset + min(start + CHUNK, t.size))
+                p, *state = (vec[block] for vec in vectors)
+                self._update(lr_t, p, grad[start:start + CHUNK], *state, *(b[:p.size] for b in self._scratch))
+            offset += t.size
 
 
 class Sgd(_Optimizer):
@@ -266,7 +257,7 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     _check_clips(params, dataset, range(len(dataset)))
     optimizer = make_optimizer(params, config)
     records = []
-    best = None  # (accuracy, epoch, saved tensor data)
+    best, best_acc = None, -1.0  # a copy of optimizer.flat at the top val accuracy so far
 
     def emit(epoch, split, loss, accuracy):
         records.append({"epoch": epoch, "split": split, "loss": loss, "accuracy": accuracy})
@@ -300,18 +291,15 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
             loss_sum, confusion = _score(params, dataset, val_idx)
             val_acc = 100.0 * int(np.trace(confusion)) / len(val_idx)
             emit(epoch, "val", loss_sum / len(val_idx), val_acc)
-            if best is None or val_acc > best[0]:
-                best = (val_acc, epoch, [t.data.copy() for t in params.tensors()])
+            if val_acc > best_acc:
+                best, best_acc = optimizer.flat.copy(), val_acc
 
     if ckpt_path is not None:
         save_checkpoint(ckpt_path, params)
         if best is not None:
-            last = [t.data for t in params.tensors()]
-            for t, saved in zip(params.tensors(), best[2]):
-                t.data = saved
+            bind(optimizer.tensors, best)
             save_checkpoint(str(ckpt_path) + ".best", params)
-            for t, saved in zip(params.tensors(), last):
-                t.data = saved
+            bind(optimizer.tensors, optimizer.flat)
     return records
 
 

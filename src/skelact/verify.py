@@ -80,7 +80,6 @@ def op_suite(seed):
         "scale": lambda t: ad.scale(t, -1.7),
         "reshape": lambda t: ad.reshape(t, (5, 4)),
         "transpose": ad.transpose,
-        "reverse_rows": ad.reverse_rows,
         "concat": lambda t: ad.concat([t, other], axis=0),
         "sum_all": ad.sum_all,
         "global_avg_pool": ad.global_avg_pool,

@@ -160,6 +160,18 @@ def test_train_missing_modality_names_it(workspace, tmp_path):
     assert "error" in result.stderr
 
 
+def test_feature_file_without_its_skeleton_is_rejected_in_a_both_branch_load(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    orphan = data / "orphan.ftr"
+    shutil.copy(data / "sample_00000_c0.ftr", orphan)
+    with pytest.raises(ContractError) as info:
+        load_dataset_dir(data, True, True)
+    assert str(orphan) in str(info.value)
+    samples, _, _ = load_dataset_dir(data, False, True)  # an RGB-only run reads every .ftr
+    assert len(samples) == len(list(data.glob("*.ftr")))
+
+
 def test_clip_whose_skeleton_and_feature_labels_disagree_is_rejected(workspace, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
@@ -287,7 +299,7 @@ def test_ablate_table_and_determinism(workspace):
 # every component each scope reports, frozen so no check drops out unnoticed
 GRADCHECK_COMPONENTS = {
     "op": (
-        "add mul relu sigmoid tanh scale reshape transpose reverse_rows concat sum_all "
+        "add mul relu sigmoid tanh scale reshape transpose concat sum_all "
         "global_avg_pool matmul dense softmax layer_norm conv1d_same conv1d_k1 "
         "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same "
         "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "

@@ -308,3 +308,60 @@ def test_lstm_and_bilstm_match_per_step_reference(t_len, lead, d, h, input_scale
     np.testing.assert_array_equal(out.data, np.concatenate([want_f, want_b[..., ::-1, :]], axis=-1))
     assert_grads_close([seq.grad] + param_grads(fwd) + param_grads(bwd),
                        [dseq_f + dseq_b[..., ::-1, :]] + want_fwd + want_bwd)
+
+
+# ---------------------------------------------------------------------------
+# bilstm against the frozen two-node composition
+
+
+def reference_bilstm(seq_data, fwd, bwd, upstream):
+    """The BiLSTM as a forward lstm_forward beside one over the rows flipped with
+    numpy, its output flipped back, frozen as the reference for the reversed pass.
+
+    Returns the output and the gradients of sum(output * upstream) with respect
+    to the input and to the six parameters (fwd w_x, w_h, bias, then bwd's);
+    the parameters' own `.grad` slots are overwritten.
+    """
+    h = fwd.hidden
+    for params in (fwd, bwd):
+        params.w_x.grad = params.w_h.grad = params.bias.grad = None
+    forward_in = ad.Tensor(seq_data, requires_grad=True)
+    backward_in = ad.Tensor(np.flip(seq_data, -2).copy(), requires_grad=True)
+    forward_out = lstm_forward(forward_in, fwd)
+    backward_out = lstm_forward(backward_in, bwd)
+    loss = ad.add(ad.sum_all(ad.mul(forward_out, ad.Tensor(upstream[..., :h]))),
+                  ad.sum_all(ad.mul(backward_out, ad.Tensor(np.flip(upstream[..., h:], -2).copy()))))
+    ad.backward(loss)
+    out = np.concatenate([forward_out.data, np.flip(backward_out.data, -2)], axis=-1)
+    d_seq = forward_in.grad + np.flip(backward_in.grad, -2)
+    return out, d_seq, param_grads(fwd) + param_grads(bwd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_len=st.integers(1, 6),
+    lead=st.sampled_from([(), (1,), (2, 3)]),
+    d=st.integers(1, 4),
+    h=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t_len=1, lead=(), d=1, h=1, seed=0)
+@example(t_len=6, lead=(2, 3), d=4, h=4, seed=1)
+def test_bilstm_matches_frozen_reference(t_len, lead, d, h, seed):
+    rng = np.random.default_rng(seed)
+    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    seq_data = rng.normal(size=lead + (t_len, d))
+    upstream = rng.normal(size=lead + (t_len, 2 * h))
+    want_out, want_dseq, want_params = reference_bilstm(seq_data, fwd, bwd, upstream)
+
+    for params in (fwd, bwd):
+        params.w_x.grad = params.w_h.grad = params.bias.grad = None
+    seq = ad.Tensor(seq_data, requires_grad=True)
+    out = bilstm(seq, fwd, bwd)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(seq.grad, want_dseq)
+    for got, want in zip(param_grads(fwd) + param_grads(bwd), want_params, strict=True):
+        np.testing.assert_array_equal(got, want)
+    with ad.no_grad():
+        np.testing.assert_array_equal(bilstm(ad.Tensor(seq_data), fwd, bwd).data, want_out)

@@ -394,12 +394,6 @@ def test_concat_axis_mismatch():
         ad.concat([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4)))], axis=0)
 
 
-def test_reverse_rows():
-    x = ad.Tensor(np.arange(6.0).reshape(3, 2))
-    out = ad.reverse_rows(x)
-    np.testing.assert_array_equal(out.data, x.data[::-1])
-
-
 # ---------------------------------------------------------------------------
 # global_avg_pool
 
@@ -542,7 +536,6 @@ def test_fd_shape_ops():
         x = ad.Tensor(rng.normal(size=(3, 4)))
         _fd(lambda t: ad.sum_all(ad.reshape(t, (2, 6))), x)
         _fd(lambda t: ad.sum_all(ad.mul(ad.transpose(t), ad.transpose(t))), x)
-        _fd(lambda t: ad.sum_all(ad.mul(ad.reverse_rows(t), ad.reverse_rows(t))), x)
         other = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         half = ad.Tensor(rng.normal(size=(2, 4)))
         _fd(lambda t: ad.sum_all(ad.mul(ad.concat([t, other], axis=0), ad.concat([other, t], axis=0))), half)
