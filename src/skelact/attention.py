@@ -78,9 +78,9 @@ def scaled_dot_attention(q, k, v, d_k, return_weights=False):
 def multi_head_self_attention(x, params, return_weights=False):
     """Self-attention (Q = K = V = x) with stacked head projections, then W_o.
 
-    x is [T, D] or a batch [..., T, D]. Each projection is one GEMM over all
-    rows; its [..., T, D] result is split into heads [..., h, T, w], which
-    attend as one batch. With return_weights the weights are [..., h, T, T].
+    x is [T, D] or a batch [..., T, D]. Each projection is one `dense` GEMM
+    over all rows; its [..., T, D] result is split into heads [..., h, T, w],
+    which attend as one batch. With return_weights the weights are [..., h, T, T].
     """
     if x.data.ndim < 2:
         raise DimensionError(
@@ -95,12 +95,12 @@ def multi_head_self_attention(x, params, return_weights=False):
     by_head = rows + (params.heads, params.head_width)
 
     def split(w):
-        return ad.transpose(ad.reshape(ad.matmul(x, w), by_head), -3, -2)
+        return ad.transpose(ad.reshape(ad.dense(x, w), by_head), -3, -2)
 
     q, k, v = split(params.w_q), split(params.w_k), split(params.w_v)
     out, weights = scaled_dot_attention(q, k, v, params.head_width, return_weights=True)
     merged = ad.reshape(ad.transpose(out, -3, -2), rows + (params.model_dim,))
-    projected = ad.matmul(merged, params.w_o)
+    projected = ad.dense(merged, params.w_o)
     if return_weights:
         return projected, weights
     return projected

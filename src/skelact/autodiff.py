@@ -195,12 +195,15 @@ def scale(x, s):
 
 
 def reshape(x, shape):
-    shape = tuple(shape)
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"reshape: {x.data.shape} does not fit {tuple(shape)}") from None
 
     def bw(g):
         _accumulate(x, g.reshape(x.data.shape))
 
-    return _node(x.data.reshape(shape), (x,), bw)
+    return _node(out, (x,), bw)
 
 
 def transpose(x, axis1=-2, axis2=-1):
@@ -298,54 +301,41 @@ def _rows(a):
 
 
 def matmul(a, b):
-    """a [..., M, K] times either a shared matrix b [K, N] or a batch b [..., K, N].
+    """a [..., M, K] times b [..., K, N], each leading index of a paired with b's (none included).
 
-    A shared b is one GEMM over all rows of a, in the forward pass and for
-    b's gradient; a batched b pairs each leading index of a with its own.
+    A matrix shared by every row of a batch is a weight: `dense` applies it.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul expects 2-d tensors or batches of them")
-    if b.data.ndim > 2 and b.data.shape[:-2] != a.data.shape[:-2]:
-        raise DimensionError(
-            f"matmul: batch axes differ ({a.data.shape[:-2]} vs {b.data.shape[:-2]})"
-        )
+        raise DimensionError(f"matmul expects 2-d tensors or batches, got {a.data.shape} and {b.data.shape}")
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        raise DimensionError(f"matmul: rhs {b.data.shape} shared by batched rows {a.data.shape}: use dense")
+    if a.data.shape[:-2] != b.data.shape[:-2]:
+        raise DimensionError(f"matmul: batch axes differ ({a.data.shape[:-2]} vs {b.data.shape[:-2]})")
     if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            f"matmul: inner dimensions disagree (axis {a.data.ndim - 1} of lhs = {a.data.shape[-1]}, "
-            f"axis {b.data.ndim - 2} of rhs = {b.data.shape[-2]})"
-        )
-    if b.data.ndim > 2:
-
-        def bw(g):
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
-
-        return _node(a.data @ b.data, (a, b), bw)
-
-    a2 = _rows(a.data)
+        raise DimensionError(f"matmul: inner dimensions disagree (lhs {a.data.shape}, rhs {b.data.shape})")
 
     def bw(g):
-        g2 = _rows(g)
-        _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        _accumulate(b, a2.T @ g2)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    out = a2 @ b.data
-    return _node(out.reshape(a.data.shape[:-1] + out.shape[-1:]), (a, b), bw)
+    return _node(a.data @ b.data, (a, b), bw)
 
 
-def dense(x, weight, bias):
-    """Affine map of the rows of x [..., D_in]: times weight [D_in, D_out], plus bias [D_out].
+def dense(x, weight, bias=None):
+    """Rows of x [..., D_in] times a shared weight [D_in, D_out], plus bias [D_out] if given.
 
     Any leading axes are rows, none included: a 1-d x is one row.
     """
     if x.data.ndim < 1:
         raise DimensionError("dense expects a row or an array of rows, got 0-d")
+    if weight.data.ndim != 2:
+        raise DimensionError(f"dense expects a 2-d weight [D_in, D_out], got shape {weight.data.shape}")
     axis = x.data.ndim - 1
     if x.data.shape[-1] != weight.data.shape[0]:
         raise DimensionError(
             f"dense: input axis {axis} = {x.data.shape[-1]} but weight axis 0 = {weight.data.shape[0]}"
         )
-    if bias.data.shape != (weight.data.shape[1],):
+    if bias is not None and bias.data.shape != (weight.data.shape[1],):
         raise DimensionError(
             f"dense: bias shape {bias.data.shape} does not match output width {weight.data.shape[1]}"
         )
@@ -354,13 +344,16 @@ def dense(x, weight, bias):
     def bw(g):
         g2 = _rows(g)
         _accumulate(weight, x2.T @ g2)
-        _accumulate(bias, g2.sum(axis=0))
+        if bias is not None:
+            _accumulate(bias, g2.sum(axis=0))
         if x.requires_grad:
             _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
 
     out = x2 @ weight.data
-    out += bias.data
-    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), (x, weight, bias), bw)
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, bw)
 
 
 # ---------------------------------------------------------------------------

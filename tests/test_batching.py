@@ -189,7 +189,7 @@ def test_batched_ops_match_per_item_application(lead, seed):
     assert_itemwise(lambda t: ad.dense(t, weight, bias), x, [weight, bias], lead, rng)
     # dense takes any leading axes, none included: here every item is a 1-d row
     assert_itemwise(lambda t: ad.dense(t, weight, bias), x[..., 0, :], [weight, bias], lead, rng)
-    assert_itemwise(lambda t: ad.matmul(t, weight), x, [weight], lead, rng)
+    assert_itemwise(lambda t: ad.dense(t, weight), x, [weight], lead, rng)
     assert_itemwise(lambda t: ad.matmul(t, ad.transpose(t)), x, [], lead, rng)
     assert_itemwise(ad.softmax, x, [], lead, rng)
 

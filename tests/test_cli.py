@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from skelact import verify
 from skelact.cli import load_dataset_dir
 from skelact.errors import ContractError
 from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
@@ -300,11 +301,11 @@ def test_ablate_table_and_determinism(workspace):
 GRADCHECK_COMPONENTS = {
     "op": (
         "add mul relu sigmoid tanh scale reshape transpose concat sum_all "
-        "global_avg_pool matmul dense softmax layer_norm conv1d_same conv1d_k1 "
+        "global_avg_pool matmul dense dense_no_bias softmax layer_norm conv1d_same conv1d_k1 "
         "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same "
         "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "
         "batched.layer_norm batched.softmax batched.transpose batched.transpose_heads "
-        "batched.global_avg_pool"
+        "batched.global_avg_pool batched.dense_no_bias"
     ).split(),
     "module": (
         "attention.input attention.wq attention.wk attention.wv attention.wo "
@@ -330,6 +331,14 @@ def test_gradcheck_scope_passes(scope):
     assert summary.startswith(f"scope={scope} components={len(names)} ")
     assert summary.endswith("=> PASS")
     assert result.stderr == ""
+
+
+def test_dropping_an_op_case_moves_no_other_result(monkeypatch):
+    full = verify.op_suite(3)
+    monkeypatch.setattr(verify, "OPS", {name: op for name, op in verify.OPS.items() if name != "add"})
+    assert verify.op_suite(3) == [case for case in full if case[0] != "add"]
+    monkeypatch.setattr(verify, "BATCHED", tuple(name for name in verify.BATCHED if name != "softmax"))
+    assert verify.op_suite(3) == [case for case in full if case[0] not in ("add", "batched.softmax")]
 
 
 def test_gradcheck_rejects_unknown_scope():

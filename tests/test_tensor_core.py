@@ -212,6 +212,17 @@ def test_dense_matches_loop_matmul():
     np.testing.assert_allclose(out.data, matmul_oracle(x, w) + b, atol=1e-12)
 
 
+def test_dense_without_bias_is_a_two_parent_product():
+    rng = np.random.default_rng(7)
+    x, w = ad.Tensor(rng.normal(size=(2, 3, 4))), ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    out = ad.dense(x, w)
+    np.testing.assert_array_equal(out.data, x.data @ w.data)
+    assert out._parents == (x, w)
+    ad.backward(ad.sum_all(out))
+    assert x.grad is None  # nothing needs the input's gradient, so it is not computed
+    np.testing.assert_allclose(w.grad, x.data.reshape(6, 4).T @ np.ones((6, 2)), rtol=1e-12)
+
+
 def test_dense_mismatch_error():
     with pytest.raises(DimensionError):
         ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(2)))
@@ -219,6 +230,11 @@ def test_dense_mismatch_error():
         ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(5)))
     with pytest.raises(DimensionError, match="0-d"):
         ad.dense(ad.Tensor(np.float64(1.0)), ad.Tensor(np.zeros((1, 2))), ad.Tensor(np.zeros(2)))
+    # the weight must be one [D_in, D_out] matrix, with or without a bias
+    with pytest.raises(DimensionError, match=r"2-d weight.*\(3,\)"):
+        ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError, match=r"2-d weight.*\(3, 2, 2\)"):
+        ad.dense(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2, 2))), ad.Tensor(np.zeros(2)))
 
 
 def test_matmul_matches_loop_oracle():
@@ -229,6 +245,15 @@ def test_matmul_matches_loop_oracle():
     np.testing.assert_allclose(out.data, matmul_oracle(a, b), atol=1e-12)
     with pytest.raises(DimensionError, match="inner"):
         ad.matmul(ad.Tensor(a), ad.Tensor(np.zeros((3, 2))))
+    # a matrix shared by batched rows is dense's job, and ranks must match
+    with pytest.raises(DimensionError, match="dense"):
+        ad.matmul(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(b))
+    with pytest.raises(DimensionError, match="batch axes"):
+        ad.matmul(ad.Tensor(a), ad.Tensor(np.zeros((2, 4, 2))))
+    with pytest.raises(DimensionError, match="2-d"):
+        ad.matmul(ad.Tensor(a), ad.Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError, match="2-d"):
+        ad.matmul(ad.Tensor(np.zeros(4)), ad.Tensor(b))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +378,12 @@ def test_transpose_swaps_named_axes():
     np.testing.assert_array_equal(ad.transpose(ad.Tensor(x)).data, np.swapaxes(x, 1, 2))
     with pytest.raises(DimensionError, match="axis 3"):
         ad.transpose(ad.Tensor(x), 0, 3)
+
+
+def test_reshape_to_another_element_count_error():
+    with pytest.raises(DimensionError, match=r"\(3, 4\) does not fit \(5, 2\)"):
+        ad.reshape(ad.Tensor(np.zeros((3, 4))), (5, 2))
+    assert ad.reshape(ad.Tensor(np.zeros((3, 4))), (2, -1)).shape == (2, 6)
 
 
 def test_elementwise_shape_mismatch():
@@ -554,6 +585,8 @@ def test_fd_linear_algebra_ops():
         _fd(lambda t: ad.sum_all(ad.matmul(a, t)), b)
         _fd(lambda t: ad.sum_all(ad.dense(a, t, bias)), b)
         _fd(lambda t: ad.sum_all(ad.dense(a, b, t)), bias)
+        _fd(lambda t: ad.sum_all(ad.dense(t, b)), a)
+        _fd(lambda t: ad.sum_all(ad.dense(a, t)), b)
 
 
 def test_fd_conv1d_all_inputs():
