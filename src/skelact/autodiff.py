@@ -62,6 +62,22 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def aligned_empty(shape):
+    """An uninitialised float64 array of `shape` whose first element starts a 64-byte cache line.
+
+    The owning buffer (the result's `.base`) holds 7 more elements, and the
+    result is the C-contiguous slice of it that starts on a line. Placement
+    matters to BLAS: on a 2-vCPU x86-64 VM at one thread, the LSTM's
+    [1, 128] @ [128, 512] step product took about 7 us with its weight on a
+    line and 11-12 us with it 16, 32 or 48 bytes past one.
+    """
+    shape = shape if isinstance(shape, tuple) else (shape,)
+    count = math.prod(shape)
+    raw = np.empty(count + 7)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip:][:count].reshape(shape)  # two slices: an empty raw[skip:skip] points at raw's start
+
+
 def _node(data, parents, backward_fn):
     """Wrap an op result, attaching graph metadata when recording is on."""
     out = Tensor(data)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import aligned_empty
 from .errors import ContractError, ParseError, require_finite, require_integer
 
 FEATURE_WIDTH = 1536
@@ -225,7 +226,7 @@ def write_container(path, magic, header, arrays):
 
 
 def read_container(path, magic, header_size, parse_header):
-    """(header, payload) of a container file; the payload is an owned, writable float64 array.
+    """(header, payload) of a container file; the payload, a writable float64 array, starts a cache line.
 
     Once the magic and `header_size` header bytes are present,
     `parse_header(path, head, read)` returns (header, float64 count): `head`
@@ -259,7 +260,7 @@ def read_container(path, magic, header_size, parse_header):
             raise ParseError(f"{path}: payload truncated at byte offset {size}, it ends at {end}")
         if end < size:
             raise ParseError(f"{path}: {size - end} trailing bytes at byte offset {end}")
-        payload = np.empty(count, dtype="<f8")
+        payload = aligned_empty(count).view("<f8")
         got = fh.readinto(payload)
         # the file may have changed size since fstat: never hand out unread memory
         if got < 8 * count:

@@ -4,7 +4,8 @@ lstm_forward is a single fused graph node: the whole recurrence runs in
 numpy and the backward closure replays it in reverse (backpropagation
 through time). This keeps the graph small enough that training stays fast
 without changing any semantics. Both loops write every step into arrays
-allocated once per call, so a step costs a few ufunc calls and one matmul.
+allocated once per call, each starting a cache line, and walk precomputed
+per-step views of them, so a step costs a few ufunc calls and one matmul.
 `bilstm`'s reversed direction runs inside the node too (`reverse=True`).
 """
 
@@ -77,27 +78,35 @@ def lstm_forward(seq, params, reverse=False):
     gate_scale[2 * h:3 * h] = 1.0
     gate_shift = np.full(4 * h, 0.5)
     gate_shift[2 * h:3 * h] = -0.0
-    zx = (step_rows @ w_x.data).reshape(t_len, batch, 4 * h)
+    # Every per-call buffer starts a cache line; at the default sizes (H = 128)
+    # so does each step's row, and the recurrent matmul runs faster for it.
+    zx = ad.aligned_empty((t_len, batch, 4 * h))
+    np.matmul(step_rows, w_x.data, out=zx.reshape(t_len * batch, 4 * h))
     zx += bias.data
     zx *= gate_scale
-    w_h_half = w_h.data * gate_scale
-    gates = np.empty((t_len, batch, 4 * h))  # activated input, forget, cell, output
-    cells = np.zeros((t_len + 1, batch, h))  # row 0 is the zero initial state
-    hidden = np.zeros((t_len + 1, batch, h))
-    tanh_c = np.empty((t_len, batch, h))
-    for t in range(t_len):
-        a = gates[t]
-        np.matmul(hidden[t], w_h_half, out=a)
-        a += zx[t]
-        np.tanh(a, out=a)
-        a *= gate_scale
-        a += gate_shift
-        # c = f*c_prev + i*g and h = o*tanh(c), with tanh_c[t] holding i*g first
-        np.multiply(a[:, :h], a[:, 2 * h:3 * h], out=tanh_c[t])
-        np.multiply(a[:, h:2 * h], cells[t], out=cells[t + 1])
-        cells[t + 1] += tanh_c[t]
-        np.tanh(cells[t + 1], out=tanh_c[t])
-        np.multiply(a[:, 3 * h:], tanh_c[t], out=hidden[t + 1])
+    w_h_half = ad.aligned_empty((h, 4 * h))
+    np.multiply(w_h.data, gate_scale, out=w_h_half)
+    gates = ad.aligned_empty((t_len, batch, 4 * h))  # activated input, forget, cell, output
+    cells = ad.aligned_empty((t_len + 1, batch, h))  # row 0 is the zero initial state
+    hidden = ad.aligned_empty((t_len + 1, batch, h))
+    cells[0] = 0.0
+    hidden[0] = 0.0
+    tanh_c = ad.aligned_empty((t_len, batch, h))
+    blocks = gates.reshape(t_len, batch, 4, h)
+    # each step walks its own row views, so the loop body does no indexing
+    for a, z, i, f, g, o, c_prev, c, tc, h_prev, h_next in zip(
+            gates, zx, *(blocks[:, :, k] for k in range(4)), cells, cells[1:], tanh_c, hidden, hidden[1:]):
+        np.matmul(h_prev, w_h_half, a)
+        np.add(a, z, a)
+        np.tanh(a, a)
+        np.multiply(a, gate_scale, a)
+        np.add(a, gate_shift, a)
+        # c = f*c_prev + i*g and h = o*tanh(c), with tc holding i*g first
+        np.multiply(i, g, tc)
+        np.multiply(f, c_prev, c)
+        np.add(c, tc, c)
+        np.tanh(c, tc)
+        np.multiply(o, tc, h_next)
 
     def bw(g):
         g_steps = np.swapaxes(g.reshape(batch, t_len, h), 0, 1)[order]
@@ -107,7 +116,7 @@ def lstm_forward(seq, params, reverse=False):
         # [g i(1-i), c_prev f(1-f), i(1-g^2), tanh(c) o(1-o)], to be multiplied
         # by [dc, dc, dc, dh], and dc = dh*o(1-tanh^2 c) + dc_next. This closure
         # runs once (backward drops it), so tanh_c can hold o(1-tanh^2 c).
-        dz_all = np.empty((t_len, batch, 4, h))  # gate blocks as an axis of their own
+        dz_all = ad.aligned_empty((t_len, batch, 4, h))  # gate blocks as an axis of their own
         to_i, to_f, to_g, to_o = (dz_all[:, :, k] for k in range(4))
         np.subtract(1.0, gate_i, out=to_i)
         to_i *= gate_i
@@ -125,20 +134,22 @@ def lstm_forward(seq, params, reverse=False):
         dc_from_dh *= tanh_c
         np.subtract(1.0, dc_from_dh, out=dc_from_dh)
         dc_from_dh *= gate_o
-        dh = np.empty((batch, h))
-        dc = np.empty((batch, h))
-        dh_next = np.zeros((batch, h))
-        dc_next = np.zeros((batch, h))
+        dh, dc, dh_next, dc_next = (ad.aligned_empty((batch, h)) for _ in range(4))
+        dh_next[...] = 0.0
+        dc_next[...] = 0.0
+        dc_ifg = dc[:, None, :]
         w_h_t = w_h.data.T
-        for t in range(t_len - 1, -1, -1):
-            dz = dz_all[t]
-            np.add(g_steps[t], dh_next, out=dh)
-            dz[:, 3] *= dh
-            np.multiply(dh, dc_from_dh[t], out=dc)
-            dc += dc_next
-            dz[:, :3] *= dc[:, None, :]
-            np.matmul(dz.reshape(batch, 4 * h), w_h_t, out=dh_next)
-            np.multiply(dc, gate_f[t], out=dc_next)
+        back = slice(None, None, -1)  # the steps last to first, each on its own row views
+        for dz, dz_o, dz_ifg, g_t, dc_dh, f in zip(
+                dz_all.reshape(t_len, batch, 4 * h)[back], to_o[back], dz_all[back, :, :3],
+                g_steps[back], dc_from_dh[back], gate_f[back]):
+            np.add(g_t, dh_next, dh)
+            np.multiply(dz_o, dh, dz_o)
+            np.multiply(dh, dc_dh, dc)
+            np.add(dc, dc_next, dc)
+            np.multiply(dz_ifg, dc_ifg, dz_ifg)
+            np.matmul(dz, w_h_t, dh_next)
+            np.multiply(dc, f, dc_next)
         dz_rows = dz_all.reshape(t_len * batch, 4 * h)
         _accumulate(w_x, step_rows.T @ dz_rows)
         _accumulate(w_h, hidden[:t_len].reshape(t_len * batch, h).T @ dz_rows)

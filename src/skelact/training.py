@@ -73,7 +73,8 @@ class _Optimizer:
     """L2 and inverse-time lr decay around a per-block update. The tensors' data is
     copied into one vector `flat` and each `t.data` bound to its slice; `step()`
     walks each `t.grad` in CHUNK-sized blocks, updating the slices of `flat` and of
-    the state vectors named in `state` (zeros at construction) in place."""
+    the state vectors named in `state` (zeros at construction) in place. Every
+    vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`)."""
 
     default_lr = None
     state = ()
@@ -84,11 +85,14 @@ class _Optimizer:
         self.l2 = l2_lambda
         self.decay = lr_decay
         self.steps = 0
-        self.flat = np.concatenate([np.ravel(t.data) for t in self.tensors], dtype=np.float64)
+        self.flat = ad.aligned_empty(sum(t.size for t in self.tensors))
+        np.concatenate([np.ravel(t.data) for t in self.tensors], out=self.flat)
         bind(self.tensors, self.flat)
         for name in self.state:
-            setattr(self, name, np.zeros(self.flat.size))
-        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
+            vector = ad.aligned_empty(self.flat.size)
+            vector.fill(0.0)
+            setattr(self, name, vector)
+        self._scratch = (ad.aligned_empty(CHUNK), ad.aligned_empty(CHUNK))
 
     def step(self):
         kind = type(self).__name__.lower()

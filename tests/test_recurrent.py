@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skelact import autodiff as ad
 from skelact.errors import DimensionError
+from skelact.model import bind
 from skelact.recurrent import LstmParams, bilstm, init_lstm_params, lstm_forward
 from skelact.verify import check_named, probed
 
@@ -365,3 +366,41 @@ def test_bilstm_matches_frozen_reference(t_len, lead, d, h, seed):
         np.testing.assert_array_equal(got, want)
     with ad.no_grad():
         np.testing.assert_array_equal(bilstm(ad.Tensor(seq_data), fwd, bwd).data, want_out)
+
+
+# ---------------------------------------------------------------------------
+# parameter alignment may change speed only
+
+
+def bilstm_bits(values, offset, seq_data, upstream, h):
+    """Output and every gradient of a bilstm whose six parameters are copied,
+    in order, into one vector that starts `offset` bytes past a cache line."""
+    total = sum(v.size for v in values)
+    flat = ad.aligned_empty(total + 8)[offset // 8:offset // 8 + total]
+    assert flat.ctypes.data % 64 == offset
+    np.concatenate([v.ravel() for v in values], out=flat)
+    tensors = [ad.Tensor(np.empty(v.shape), requires_grad=True) for v in values]
+    bind(tensors, flat)
+    fwd, bwd = LstmParams(*tensors[:3], h), LstmParams(*tensors[3:], h)
+    seq = ad.Tensor(seq_data, requires_grad=True)
+    out = bilstm(seq, fwd, bwd)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
+    return [out.data, seq.grad] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_bilstm_bits_do_not_depend_on_parameter_alignment(lead):
+    # the default pose BiLSTM's hidden size, over 84 steps at batch 1 and 4
+    rng = np.random.default_rng(11)
+    d, h, t_len = 24, 128, 84
+    values = []
+    for _ in range(2):
+        params = make_params(rng, d, h)
+        params.bias.data = rng.normal(size=4 * h)
+        values += [params.w_x.data, params.w_h.data, params.bias.data]
+    seq_data = rng.normal(size=lead + (t_len, d))
+    upstream = rng.normal(size=lead + (t_len, 2 * h))
+    aligned = bilstm_bits(values, 0, seq_data, upstream, h)
+    for offset in (8, 16, 48):
+        for got, want in zip(bilstm_bits(values, offset, seq_data, upstream, h), aligned, strict=True):
+            np.testing.assert_array_equal(got, want)

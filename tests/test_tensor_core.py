@@ -628,3 +628,23 @@ def test_forward_outputs_finite():
         ad.tanh(x),
     ):
         assert np.isfinite(out.data).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(
+    st.sampled_from([(), (0,), (1,), (2, 3)]),
+    st.lists(st.integers(0, 4).map(lambda n: 2 * n + 1), min_size=1, max_size=3).map(tuple),
+    st.integers(131073, 140001).map(lambda n: (n,)),  # over 1 MB
+))
+@example(shape=())
+@example(shape=(0,))
+@example(shape=(1,))
+@example(shape=(2, 3))
+@example(shape=(131075,))
+def test_aligned_empty_starts_a_cache_line(shape):
+    a = ad.aligned_empty(shape)
+    assert a.ctypes.data % 64 == 0
+    assert a.shape == shape and a.dtype == np.float64
+    assert a.flags.c_contiguous and a.flags.writeable
+    a[...] = 1.0
+    assert a.sum() == a.size

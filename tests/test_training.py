@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 import skelact.autodiff as ad
 from skelact.data import Sample, SyntheticSpec, generate_synthetic
 from skelact.errors import ContractError
-from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
+from skelact.model import (
+    BRANCHES,
+    VARIANT_FLAGS,
+    ModelDims,
+    build_variant,
+    load_checkpoint,
+    save_checkpoint,
+    variant_config,
+)
 from skelact.streams import StreamConfig
 from skelact.training import (
     CHUNK,
@@ -563,3 +572,20 @@ def test_training_reaches_perfect_accuracy_on_noiseless_data():
     train(dataset, params, config)
     accuracy, _ = evaluate(dataset, params)
     assert accuracy == 100.0
+
+
+@pytest.mark.parametrize("variant,branch", list(itertools.product(VARIANT_FLAGS, BRANCHES)))
+def test_default_builds_load_and_optimize_on_cache_lines(tmp_path, variant, branch):
+    # every tensor of a default build starts at a multiple of 8 elements in its
+    # vector, so an aligned payload or `flat` puts each tensor on a cache line
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_variant(variant_config(variant, branch), ModelDims(), seed=0))
+    params = load_checkpoint(path)
+    path.unlink()
+    for name, t in params.named_parameters():
+        assert t.data.ctypes.data % 64 == 0, f"loaded {name}"
+    adam = make_optimizer(params, TrainConfig(optimizer="adam"))
+    for name, t in params.named_parameters():
+        assert t.data.ctypes.data % 64 == 0, f"optimized {name}"
+    for state in (adam.m, adam.v):
+        assert state.ctypes.data % 64 == 0 and not state.any()
