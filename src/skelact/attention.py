@@ -56,15 +56,8 @@ def init_attention_params(rng, model_dim, heads=HEADS):
 
 
 def scaled_dot_attention(q, k, v, d_k, return_weights=False):
-    """softmax(Q K^T / sqrt(d_k)) V over [..., T, *] tensors; leading axes are batch."""
-    if q.data.ndim < 2 or not q.data.ndim == k.data.ndim == v.data.ndim:
-        raise DimensionError("scaled_dot_attention expects 2-d Q, K, V or equal-rank batches of them")
-    if q.data.shape != k.data.shape:
-        raise DimensionError(f"Q shape {q.data.shape} differs from K shape {k.data.shape}")
-    if v.data.shape[:-1] != k.data.shape[:-1]:
-        raise DimensionError(
-            f"V has {v.data.shape[-2]} rows but K has {k.data.shape[-2]} (axis {k.data.ndim - 2})"
-        )
+    """softmax(Q K^T / sqrt(d_k)) V for Q [..., T_q, d], K [..., T_k, d], V [..., T_k, d_v];
+    leading axes are batch, and Q and K may have different row counts (T_q != T_k)."""
     if d_k <= 0:
         raise ContractError(f"scale d_k must be positive, got {d_k}")
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))

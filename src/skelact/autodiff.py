@@ -312,8 +312,11 @@ def global_avg_pool(x):
 
 
 def _rows(a):
-    """[..., D] as a [N, D] matrix of its rows (a view when a is contiguous)."""
-    return a.reshape(-1, a.shape[-1])
+    """[..., D] as a [N, D] matrix of its rows (a view when a is contiguous).
+
+    N is spelled out, since numpy cannot infer a -1 axis beside a D of 0.
+    """
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
 def matmul(a, b):
@@ -380,6 +383,8 @@ def softmax(x):
     """Row-stable softmax over the last axis; any leading axes are rows."""
     if x.data.ndim < 1:
         raise DimensionError("softmax expects a 1-d tensor or a batch of them, got 0-d")
+    if x.data.shape[-1] == 0:
+        raise DimensionError(f"softmax: empty axis {x.data.ndim - 1}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
@@ -400,6 +405,8 @@ def softmax_cross_entropy(logits, labels):
     """
     index = _class_index(logits, labels, "softmax_cross_entropy")
     rows = index.size
+    if rows == 0:
+        raise DimensionError(f"softmax_cross_entropy: no rows (axis {logits.data.shape.index(0)} is empty)")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     loss = -np.take_along_axis(log_probs, index, axis=-1).sum() / rows
@@ -418,6 +425,8 @@ def layer_norm(x, gain, shift):
     if x.data.ndim < 2:
         raise DimensionError(f"layer_norm expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
     d = x.data.shape[-1]
+    if d == 0:
+        raise DimensionError(f"layer_norm: empty axis {x.data.ndim - 1}")
     if gain.data.shape != (d,) or shift.data.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/shift must have shape ({d},), got {gain.data.shape} and {shift.data.shape}"
@@ -466,6 +475,8 @@ def conv1d(x, kernel, bias):
     if kernel.data.ndim != 3:
         raise DimensionError(f"conv1d expects a 3-d kernel, got {kernel.data.ndim}-d")
     k, c_in, c_out = kernel.data.shape
+    if k == 0:
+        raise DimensionError("conv1d: kernel has no taps (axis 0 is empty)")
     if x.data.shape[-1] != c_in:
         raise DimensionError(
             f"conv1d: input channels (axis {x.data.ndim - 1}) = {x.data.shape[-1]} but kernel expects {c_in}"

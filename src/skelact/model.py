@@ -248,20 +248,13 @@ def pose_branch(pose, params):
 def rgb_branch(features, params):
     """Optional attention over per-frame features, then bi-LSTM.
 
-    features is [T, W] or a batch [B, T, W]; the result is [(B,) T, 2H].
+    features is [T, W] or a batch [B, T, W], W checked by the tail's first layer; the result is [(B,) T, 2H].
     """
     if params.rgb is None:
         raise ContractError("model has no RGB branch")
-    axis = features.data.ndim - 1
-    if features.data.ndim < 2 or features.data.shape[-1] != params.dims.rgb_width:
+    if features.data.ndim < 2 or features.data.shape[-2] != params.dims.frames:
         raise DimensionError(
-            f"feature width {features.data.shape[-1]} does not match "
-            f"configured width {params.dims.rgb_width} (axis {axis})"
-        )
-    if features.data.shape[-2] != params.dims.frames:
-        raise DimensionError(
-            f"feature sequence has {features.data.shape[-2]} frames, "
-            f"expected {params.dims.frames} (axis {axis - 1})"
+            f"features of shape {features.data.shape} do not have {params.dims.frames} frames on axis -2"
         )
     return tail_forward(features, params.rgb)
 

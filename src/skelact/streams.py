@@ -185,22 +185,9 @@ def stream_forward(encoded, params):
         residual = ad.conv1d(encoded, params.proj.kernel, params.proj.bias)
     else:
         residual = encoded
-    if residual.data.shape[-1] != post_out.data.shape[-1]:
-        raise DimensionError(
-            f"residual channels {residual.data.shape[-1]} do not match "
-            f"post-stack channels {post_out.data.shape[-1]} (axis {post_out.data.ndim - 1})"
-        )
     return ad.layer_norm(ad.add(post_out, residual), params.ln_gain, params.ln_shift)
 
 
 def fuse_pose_streams(spatial_out, temporal_out):
     """Concatenate the two stream outputs along the time axis (-2), spatial rows first."""
-    if spatial_out.data.ndim < 2 or temporal_out.data.ndim < 2:
-        raise DimensionError("fuse_pose_streams expects 2-d stream outputs or batches of them")
-    axis = spatial_out.data.ndim - 1
-    if spatial_out.data.shape[-1] != temporal_out.data.shape[-1]:
-        raise DimensionError(
-            f"stream channel widths differ on axis {axis} "
-            f"({spatial_out.data.shape[-1]} vs {temporal_out.data.shape[-1]})"
-        )
     return ad.concat([spatial_out, temporal_out], axis=-2)

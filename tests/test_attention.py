@@ -73,6 +73,18 @@ def test_scaled_dot_attention_small_oracle():
     np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
 
+def test_scaled_dot_attention_query_and_key_lengths_differ():
+    rng = np.random.default_rng(13)
+    q = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    out = scaled_dot_attention(q, k, v, 4.0)
+    expect = softmax_rows(q.data @ k.data.T / 2.0) @ v.data
+    np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+    ad.backward(ad.sum_all(out))
+    assert (q.grad.shape, k.grad.shape, v.grad.shape) == ((3, 4), (5, 4), (5, 2))
+
+
 def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(25):

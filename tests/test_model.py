@@ -232,6 +232,16 @@ def test_rgb_branch_rejects_wrong_width():
         rgb_branch(ad.Tensor(np.zeros((dims.frames, 5))), params)
     with pytest.raises(DimensionError, match="frames"):
         rgb_branch(ad.Tensor(np.zeros((dims.frames + 1, dims.rgb_width))), params)
+    # a 0-d or 1-d tensor has no frame axis, through the branch or the whole forward
+    for features in (np.float64(1.0), np.zeros(dims.rgb_width)):
+        with pytest.raises(DimensionError, match="frames"):
+            rgb_branch(ad.Tensor(features), params)
+        with pytest.raises(DimensionError, match="frames"):
+            forward(params, features=ad.Tensor(features))
+    # without attention the BiLSTM is the tail's first layer, and it checks the width
+    no_attention = build_variant(variant_config("seu+teu", "rgb"), dims, 0)
+    with pytest.raises(DimensionError, match="width"):
+        rgb_branch(ad.Tensor(np.zeros((dims.frames, 5))), no_attention)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,14 @@ def test_stream_forward_full_gradients():
         assert err < 1e-4, name
 
 
+def test_stream_forward_residual_width_mismatch():
+    rng = np.random.default_rng(18)
+    params = init_stream_params(rng, 6, StreamConfig(post_filters=(3, 3, 4)))
+    params.proj = None  # the 6-wide input now meets the 4-wide post stack unprojected
+    with pytest.raises(DimensionError, match="axis 1"):
+        stream_forward(ad.Tensor(rng.normal(size=(5, 6))), params)
+
+
 # ---------------------------------------------------------------------------
 # fusion
 
@@ -283,6 +291,8 @@ def test_fuse_shapes_and_order():
 def test_fuse_channel_mismatch():
     with pytest.raises(DimensionError, match="axis 1"):
         fuse_pose_streams(ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((4, 6))))
+    with pytest.raises(DimensionError, match="axis 0"):
+        fuse_pose_streams(ad.Tensor(np.zeros((2, 4, 8))), ad.Tensor(np.zeros((3, 4, 8))))
 
 
 # ---------------------------------------------------------------------------

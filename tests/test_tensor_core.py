@@ -648,3 +648,42 @@ def test_aligned_empty_starts_a_cache_line(shape):
     assert a.flags.c_contiguous and a.flags.writeable
     a[...] = 1.0
     assert a.sum() == a.size
+
+
+# ---------------------------------------------------------------------------
+# empty axes
+
+
+# (op, operand shapes, numpy forward of the operands' data, or the message of
+# the DimensionError raised where the op has no value)
+EMPTY_AXIS_CASES = {
+    "dense_input_width_0": (ad.dense, [(3, 0), (0, 4), (4,)], lambda x, w, b: x @ w + b),
+    "dense_output_width_0": (ad.dense, [(3, 2), (2, 0), (0,)], lambda x, w, b: x @ w + b),
+    "conv1d_in_channels_0": (ad.conv1d, [(5, 0), (3, 0, 2), (2,)], conv1d_oracle),
+    "conv1d_out_channels_0": (ad.conv1d, [(5, 2), (3, 2, 0), (0,)], conv1d_oracle),
+    "conv1d_no_taps": (ad.conv1d, [(5, 2), (0, 2, 3), (3,)], "no taps"),
+    "softmax_empty_axis": (ad.softmax, [(3, 0)], "axis 1"),
+    "cross_entropy_no_rows": (lambda t: ad.softmax_cross_entropy(t, np.zeros(0, int)), [(0, 3)], "axis 0"),
+    "layer_norm_width_0": (ad.layer_norm, [(3, 0), (0,), (0,)], "axis 1"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_AXIS_CASES)
+def test_empty_axes(case):
+    op, shapes, expect = EMPTY_AXIS_CASES[case]
+    rng = np.random.default_rng(22)
+    args = [ad.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    if isinstance(expect, str):
+        with pytest.raises(DimensionError, match=expect):
+            ad.backward(ad.sum_all(op(*args)))
+        return
+    out = op(*args)
+    np.testing.assert_allclose(out.data, expect(*(a.data for a in args)), rtol=0, atol=1e-12)
+    probe = rng.normal(size=out.shape)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(probe))))
+    # with a channel axis empty every product is zero-size or an empty sum, so only
+    # the bias, which gets the probe summed over rows, can have a nonzero gradient
+    x, weight, bias = args
+    np.testing.assert_array_equal(x.grad, np.zeros(x.shape))
+    np.testing.assert_array_equal(weight.grad, np.zeros(weight.shape))
+    np.testing.assert_allclose(bias.grad, probe.sum(axis=0), rtol=0, atol=1e-12)
