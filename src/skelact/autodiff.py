@@ -276,23 +276,6 @@ def sum_all(x):
     return _node(np.asarray(x.data.sum()), (x,), bw)
 
 
-def _class_index(x, index, op):
-    """Integer indices of shape x.shape[:-1] into x's last axis, as [..., 1], range-checked."""
-    if x.data.ndim < 1:
-        raise DimensionError(f"{op} expects a 1-d tensor, got 0-d")
-    index = np.asarray(index)
-    if index.shape != x.data.shape[:-1]:
-        raise DimensionError(
-            f"{op}: index shape {index.shape} does not match the {x.data.shape[:-1]} rows of the tensor"
-        )
-    index = index.astype(np.int64)[..., None]
-    width = x.data.shape[-1]
-    bad = (index < 0) | (index >= width)
-    if bad.any():
-        raise ContractError(f"{op} index {int(index[bad][0])} out of range [0, {width})")
-    return index
-
-
 def global_avg_pool(x):
     """Mean over the time axis (-2) of a [..., T, D] tensor."""
     if x.data.ndim < 2:
@@ -403,7 +386,16 @@ def softmax_cross_entropy(logits, labels):
     logits.shape[:-1]). The gradient, (softmax - onehot) / rows, stays
     useful however confidently wrong a row is.
     """
-    index = _class_index(logits, labels, "softmax_cross_entropy")
+    if logits.data.ndim < 1:
+        raise DimensionError("softmax_cross_entropy expects a 1-d tensor, got 0-d")
+    if np.shape(labels) != logits.data.shape[:-1]:
+        raise DimensionError(f"softmax_cross_entropy: index shape {np.shape(labels)} does not match "
+                             f"the {logits.data.shape[:-1]} rows of the tensor")
+    index = np.asarray(labels).astype(np.int64)[..., None]  # [..., 1], for take_along_axis
+    width = logits.data.shape[-1]
+    bad = (index < 0) | (index >= width)
+    if bad.any():
+        raise ContractError(f"softmax_cross_entropy index {int(index[bad][0])} out of range [0, {width})")
     rows = index.size
     if rows == 0:
         raise DimensionError(f"softmax_cross_entropy: no rows (axis {logits.data.shape.index(0)} is empty)")
@@ -528,12 +520,13 @@ def conv1d(x, kernel, bias):
 # verification and initialization helpers
 
 
-def gradient_check(f, x, eps=1e-5):
+def gradient_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
     `f` must map the tensor `x` to a scalar tensor. The relative error per
     coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
+    eps = 1e-5  # central-difference step
     saved_flag = x.requires_grad
     x.requires_grad = True
     x.grad = None

@@ -32,13 +32,6 @@ from .errors import ContractError
 from .model import BRANCHES, VARIANT_FLAGS, ModelDims, build_variant, load_checkpoint, variant_config
 from .training import TrainConfig, evaluate, train
 
-ABLATION_ROWS = [
-    ("Baseline", "baseline"),
-    ("+ SEU", "seu"),
-    ("+ TEU", "seu+teu"),
-    ("+ Multi-Head Self Attention", "full"),
-]
-
 TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 SPEC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
 
@@ -235,7 +228,7 @@ def cmd_ablate(args):
     config = _resolve_train_config(args)
     samples, dims = _branch_dataset(args)
     rows = []
-    for label, variant in ABLATION_ROWS:
+    for variant, (label, *_) in VARIANT_FLAGS.items():
         params = build_variant(variant_config(variant, branch=args.branch), dims, seed=config.seed)
         records = train(samples, params, config)
         val_accuracies = [r["accuracy"] for r in records if r["split"] == "val"]
@@ -305,13 +298,15 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one variant")
-    p.add_argument("--data", required=True, help="dataset directory")
+    shared = argparse.ArgumentParser(add_help=False)  # the flags of train and ablate
+    shared.add_argument("--data", required=True, help="dataset directory")
+    shared.add_argument("--branch", default="pose", choices=BRANCHES)
+    shared.add_argument("--config", help="key=value training settings file")
+    shared.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("train", parents=[shared], help="train one variant")
     p.add_argument("--variant", required=True, choices=list(VARIANT_FLAGS))
-    p.add_argument("--branch", default="pose", choices=BRANCHES)
-    p.add_argument("--config", help="key=value training settings file")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -319,11 +314,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train the four ablation variants, print a table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--branch", default="pose", choices=BRANCHES)
-    p.add_argument("--config", help="key=value training settings file")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("ablate", parents=[shared], help="train each ablation variant, print a table")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suites")

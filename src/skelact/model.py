@@ -37,11 +37,12 @@ from .streams import (
     teu_encode,
 )
 
+# the ablation table, in row order: each variant's row label, then use_seu, use_teu, use_attention
 VARIANT_FLAGS = {
-    "baseline": (False, False, False),
-    "seu": (True, False, False),
-    "seu+teu": (True, True, False),
-    "full": (True, True, True),
+    "baseline": ("Baseline", False, False, False),
+    "seu": ("+ SEU", True, False, False),
+    "seu+teu": ("+ TEU", True, True, False),
+    "full": ("+ Multi-Head Self Attention", True, True, True),
 }
 BRANCHES = ("pose", "rgb", "both")
 
@@ -64,7 +65,7 @@ class AblationConfig:
 def variant_config(name, branch="pose"):
     if name not in VARIANT_FLAGS:
         raise ContractError(f"unknown variant {name!r}, expected one of {sorted(VARIANT_FLAGS)}")
-    seu, teu, attention = VARIANT_FLAGS[name]
+    _, seu, teu, attention = VARIANT_FLAGS[name]
     return AblationConfig(seu, teu, attention, branch)
 
 
@@ -235,12 +236,13 @@ def pose_branch(pose, params):
     if params.pose is None:
         raise ContractError("model has no pose branch")
     branch = params.pose
-    cfg = params.dims.stream
+    acts = params.dims.stream.activations
     spatial_encode = seu_encode if params.ablation.use_seu else plain_encode
     temporal_encode = teu_encode if params.ablation.use_teu else plain_encode
+    # positional, so a tracer that keeps only positional arguments can replay each call
     fused = fuse_pose_streams(
-        stream_forward(spatial_encode(pose, branch.spatial_enc, cfg.activations), branch.spatial_stream),
-        stream_forward(temporal_encode(pose, branch.temporal_enc, cfg.activations), branch.temporal_stream),
+        stream_forward(spatial_encode(pose, branch.spatial_enc, acts), branch.spatial_stream, acts),
+        stream_forward(temporal_encode(pose, branch.temporal_enc, acts), branch.temporal_stream, acts),
     )
     return tail_forward(fused, branch.tail)
 

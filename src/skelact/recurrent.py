@@ -11,6 +11,7 @@ per-step views of them, so a step costs a few ufunc calls and one matmul.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def lstm_forward(seq, params, reverse=False):
     w_x, w_h, bias = params.w_x, params.w_h, params.bias
     # time-major [T, B, *] in step order, so each step reads and writes contiguous rows
     order = slice(None, None, -1 if reverse else 1)
-    steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(-1, t_len, d), 0, 1)[order])
+    steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(math.prod(lead), t_len, d), 0, 1)[order])
     batch = steps.shape[1]
     step_rows = steps.reshape(t_len * batch, d)
     # One tanh per step covers all four gates: sigmoid(z) = (1 + tanh(z/2))/2.

@@ -76,7 +76,6 @@ class StreamParams:
     proj: ConvParams | None
     ln_gain: "ad.Tensor"
     ln_shift: "ad.Tensor"
-    activations: tuple = ("relu", "relu", "linear")
 
     def named(self):
         yield from named_conv_stack("post", self.post)
@@ -122,7 +121,6 @@ def init_stream_params(rng, in_channels, config):
         proj,
         ad.constant(rng, config.channel_dim, 1.0),
         ad.constant(rng, config.channel_dim, 0.0),
-        activations=config.activations,
     )
 
 
@@ -149,7 +147,7 @@ def _frames_as_rows(pose):
     return ad.reshape(pose, (*lead, t_len, joints * coords))
 
 
-def seu_encode(pose, layers, activations=("relu", "relu", "linear")):
+def seu_encode(pose, layers, activations=StreamConfig.activations):
     """Per-frame conv over the joint axis; frames stacked back as rows [..., T, J*F].
 
     Frames are batch rows of the convolution, so no frame sees another.
@@ -160,7 +158,7 @@ def seu_encode(pose, layers, activations=("relu", "relu", "linear")):
     return ad.reshape(encoded, (*lead, t_len, joints * filters))
 
 
-def teu_encode(pose, layers, activations=("relu", "relu", "linear")):
+def teu_encode(pose, layers, activations=StreamConfig.activations):
     """Conv along the trajectory axis with time samples as channels, then transpose.
 
     [..., T, J, D] -> trajectories [..., J*D, T] -> conv stack -> [..., J*D, F]
@@ -172,15 +170,15 @@ def teu_encode(pose, layers, activations=("relu", "relu", "linear")):
     return ad.transpose(encoded)
 
 
-def plain_encode(pose, layers, activations=("relu", "relu", "linear")):
+def plain_encode(pose, layers, activations=StreamConfig.activations):
     """Baseline stream input: convs straight over time on raw flattened coordinates."""
     _check_pose(pose)
     return apply_conv_stack(_frames_as_rows(pose), layers, activations)
 
 
-def stream_forward(encoded, params):
+def stream_forward(encoded, params, activations=StreamConfig.activations):
     """Three post conv layers, residual from the encoder output, then layer norm."""
-    post_out = apply_conv_stack(encoded, params.post, params.activations)
+    post_out = apply_conv_stack(encoded, params.post, activations)
     if params.proj is not None:
         residual = ad.conv1d(encoded, params.proj.kernel, params.proj.bias)
     else:

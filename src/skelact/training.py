@@ -8,7 +8,7 @@ per-block update. The parameters live in one vector (each tensor's data a view
 of its slice), and so do Adam's moments; gradients stay per tensor, each walked
 where backward left it. `OPTIMIZERS` maps a config's optimizer name to its class.
 The validation pass of `train` and `evaluate` are one no-grad scorer,
-`_score`: it checks the clips once and runs EVAL_CHUNK clips per forward.
+`_score`, which runs EVAL_CHUNK clips per forward over clips its callers checked.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class _Optimizer:
     default_lr = None
     state = ()
 
-    def __init__(self, tensors, lr=None, l2_lambda=1e-5, lr_decay=1e-6):
+    def __init__(self, tensors, lr=None, l2_lambda=TrainConfig.l2_lambda, lr_decay=TrainConfig.lr_decay):
         self.tensors = list(tensors)
         self.lr = self.default_lr if lr is None else lr
         self.l2 = l2_lambda
@@ -199,9 +199,8 @@ def _batch_forward(params, dataset, indices):
 
 
 def _score(params, dataset, indices):
-    """Summed loss and [true, predicted] confusion matrix of the clips at `indices`,
-    checked once, then scored under no_grad EVAL_CHUNK clips per forward."""
-    _check_clips(params, dataset, indices)
+    """Summed loss and [true, predicted] confusion matrix of the clips at `indices`, scored
+    under no_grad EVAL_CHUNK clips per forward. The callers have checked the clips."""
     classes = params.dims.num_classes
     loss_sum = 0.0
     confusion = np.zeros((classes, classes), dtype=np.int64)
@@ -311,5 +310,6 @@ def evaluate(dataset, params):
     """Accuracy percentage and a [true, predicted] confusion matrix."""
     if not dataset:
         raise ContractError("evaluation dataset is empty")
+    _check_clips(params, dataset, range(len(dataset)))
     _, confusion = _score(params, dataset, range(len(dataset)))
     return 100.0 * np.trace(confusion) / len(dataset), confusion

@@ -72,9 +72,9 @@ OPS = {
 }
 
 
-def _away_from_kinks(rng, shape, low=0.2, high=1.5):
+def _away_from_kinks(rng, shape):
     signs = rng.choice([-1.0, 1.0], size=shape)
-    return rng.uniform(low, high, size=shape) * signs
+    return rng.uniform(0.2, 1.5, size=shape) * signs
 
 
 def probed(rng, f, x):
@@ -131,12 +131,13 @@ def module_suite(seed):
     pose = ad.Tensor(rng.normal(size=(4, 3, 2)))
     enc = init_conv_stack(np.random.default_rng([seed, 104]), 2, cfg.seu_filters, SEU_KERNELS)
     stream = init_stream_params(np.random.default_rng([seed, 105]), 3 * 2, cfg)
-    seu_loss = probed(rng, lambda t: stream_forward(seu_encode(t, enc, cfg.activations), stream), pose)
+    acts = cfg.activations
+    seu_loss = probed(rng, lambda t: stream_forward(seu_encode(t, enc, acts), stream, acts), pose)
     seu_named = [*named_conv_stack("enc", enc), *stream.named()]
     results += check_named("streams.", lambda _: seu_loss(pose), seu_named)
 
     tenc = init_conv_stack(np.random.default_rng([seed, 106]), 4, cfg.teu_filters, TEU_KERNELS)
-    teu_loss = probed(rng, lambda t: teu_encode(t, tenc, cfg.activations), pose)
+    teu_loss = probed(rng, lambda t: teu_encode(t, tenc, acts), pose)
     results += check_named("streams.", lambda _: teu_loss(pose), named_conv_stack("tenc", tenc))
 
     logits = ad.Tensor(rng.normal(size=(3, 5)))

@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 from skelact import verify
-from skelact.cli import load_dataset_dir
+from skelact.cli import load_dataset_dir, main
 from skelact.errors import ContractError
-from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
+from skelact.model import (
+    VARIANT_FLAGS,
+    ModelDims,
+    build_variant,
+    load_checkpoint,
+    save_checkpoint,
+    variant_config,
+)
 from skelact.streams import StreamConfig
 
 SINGLE_THREAD = {
@@ -295,6 +302,28 @@ def test_ablate_table_and_determinism(workspace):
     assert labels == ["Baseline", "+ SEU", "+ TEU", "+ Multi-Head Self Attention"]
     second = run_cli(*args)
     assert second.stdout == first.stdout
+
+
+def test_ablate_prints_one_row_per_variant_in_table_order(workspace, monkeypatch, capsys):
+    monkeypatch.setitem(VARIANT_FLAGS, "teu", ("+ TEU alone", False, True, False))
+    code = main(["ablate", "--data", str(workspace / "data"), "--config", str(workspace / "train.cfg")])
+    assert code == 0
+    labels = [line.split("|")[1].strip() for line in capsys.readouterr().out.strip().split("\n")[2:]]
+    assert labels == ["Baseline", "+ SEU", "+ TEU", "+ Multi-Head Self Attention", "+ TEU alone"]
+
+
+def test_train_and_ablate_describe_their_shared_flags_alike(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    flag_lines = []
+    for command in ("train", "ablate"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        lines = capsys.readouterr().out.split("\n")
+        flag_lines.append([" ".join(line.split()) for flag in ("--data", "--branch", "--config", "--seed")
+                           for line in lines if line.startswith(f"  {flag} ")])
+    assert len(flag_lines[0]) == 4
+    assert flag_lines[0] == flag_lines[1]
 
 
 # every component each scope reports, frozen so no check drops out unnoticed

@@ -191,6 +191,19 @@ def test_hidden_size_mismatch_between_directions():
         bilstm(ad.Tensor(np.zeros((3, 2))), make_params(rng, 2, 2), make_params(rng, 2, 3))
 
 
+@pytest.mark.parametrize("shape", [[3, 0], [2, 3, 0]])
+def test_bilstm_runs_forward_and_backward_on_a_zero_width_input(shape):
+    # numpy cannot infer a -1 sequence count beside an input width of 0
+    rng = np.random.default_rng(11)
+    fwd, bwd = make_params(rng, 0, 2), make_params(rng, 0, 2)
+    seq = ad.Tensor(np.zeros(shape), requires_grad=True)
+    out = bilstm(seq, fwd, bwd)
+    assert out.data.shape == (*shape[:-1], 4)
+    ad.backward(ad.sum_all(out))
+    assert seq.grad.shape == tuple(shape)
+    assert fwd.w_x.grad.shape == (0, 8)
+
+
 # ---------------------------------------------------------------------------
 # in-place recurrence against the allocating per-step reference
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skelact.autodiff as ad
+import skelact.training as training
 from skelact.data import Sample, SyntheticSpec, generate_synthetic
 from skelact.errors import ContractError
 from skelact.model import (
@@ -26,7 +27,6 @@ from skelact.training import (
     Sgd,
     TrainConfig,
     _batch_forward,
-    _score,
     cross_entropy,
     evaluate,
     format_record,
@@ -529,9 +529,22 @@ def test_every_clip_shape_checked_before_stacking():
     with pytest.raises(ContractError, match="sample 4: pose shape"):
         evaluate(dataset, params)
     with pytest.raises(ContractError, match="sample 4: pose shape"):
-        _score(params, dataset, np.arange(5))
-    with pytest.raises(ContractError, match="sample 4: pose shape"):
         train(dataset, params, TrainConfig(epochs=1, val_fraction=0.0))
+
+
+def test_train_checks_each_clip_once(monkeypatch):
+    # train checks every clip before its first step; its validation passes trust that check
+    calls = []
+    check = training._check_clips
+
+    def counted(params, dataset, indices):
+        calls.append(list(indices))
+        return check(params, dataset, indices)
+
+    monkeypatch.setattr(training, "_check_clips", counted)
+    dataset = tiny_dataset()
+    train(dataset, tiny_model(), TrainConfig(optimizer="adam", epochs=3, val_fraction=0.25))
+    assert calls == [list(range(len(dataset)))]
 
 
 def test_validation_record_is_evaluate_on_the_held_out_clips():
