@@ -15,6 +15,7 @@ mean joint-to-spine distance so scale is normalized too.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -218,11 +219,23 @@ def write_container(path, magic, header, arrays):
     """Write `magic`, the `header` bytes, then each array as little-endian float64.
 
     A C-contiguous `<f8` array is written from its own buffer, with no copy.
+    The bytes go to a new file beside `path`, which `os.replace` then renames
+    onto it: a reader sees the old file or the whole new one, and a write that
+    raises removes its file and leaves `path` as it was. There is no fsync, so
+    this holds against a failing process, not a power cut.
     """
-    with open(path, "wb") as fh:
-        fh.write(magic + header)
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(magic + header)
+            for array in arrays:
+                fh.write(np.ascontiguousarray(array, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_container(path, magic, header_size, parse_header):

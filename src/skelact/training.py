@@ -13,7 +13,9 @@ The validation pass of `train` and `evaluate` are one no-grad scorer,
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,9 +224,11 @@ def format_record(record):
 
 def _non_finite_message(params, loss_value, epoch, step, global_step):
     """Where a non-finite training loss arose: the epoch, the step and the first
-    parameter group, in `named_parameters()` order, whose data or grad (from the
-    previous step) is non-finite; else, when the forward pass overflowed, the
-    group largest in magnitude."""
+    parameter group, in `named_parameters()` order, whose data or grad is
+    non-finite; else, when the forward pass overflowed, the group largest in
+    magnitude. The grads are the previous step's of the same epoch: `train`
+    drops each epoch's last gradients, so on an epoch's first step only a grad
+    the caller left on a tensor remains."""
     named = list(params.named_parameters())
     for name, t in named:
         bad = [part for part, value in (("data", t.data), ("grad", t.grad))
@@ -244,9 +248,13 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     """Mini-batch training with a seeded shuffle; returns per-epoch records.
 
     Writes the final parameters to ckpt_path and, when a validation split
-    exists, the best-validation parameters to ckpt_path + '.best'. A batch
-    loss that is not finite raises ContractError, before any checkpoint is
-    written.
+    exists, the best-validation parameters to ckpt_path + '.best'. Each time
+    validation accuracy improves, the weights go to disk as
+    ckpt_path + '.best.partial', which the end renames onto '.best'; no copy
+    is held in memory. A batch loss that is not finite raises ContractError;
+    a run that raises writes no final checkpoint and removes the partial
+    file. Each epoch's last gradients are dropped before its validation
+    pass, so train() returns with every `.grad` None.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -260,49 +268,58 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     _check_clips(params, dataset, range(len(dataset)))
     optimizer = make_optimizer(params, config)
     records = []
-    best, best_acc = None, -1.0  # a copy of optimizer.flat at the top val accuracy so far
+    best_acc = -1.0
+    partial = None if ckpt_path is None else f"{ckpt_path}.best.partial"
 
     def emit(epoch, split, loss, accuracy):
         records.append({"epoch": epoch, "split": split, "loss": loss, "accuracy": accuracy})
         if log_fn:
             log_fn(format_record(records[-1]))
 
-    for epoch in range(1, config.epochs + 1):
-        epoch_order = train_idx[rng.permutation(len(train_idx))]
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for step, start in enumerate(range(0, len(epoch_order), config.batch_size), start=1):
-            batch = epoch_order[start:start + config.batch_size]
-            logits, labels = _batch_forward(params, dataset, batch)
-            loss = cross_entropy(logits, labels)
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise ContractError(
-                    _non_finite_message(params, loss_value, epoch, step, optimizer.steps + 1)
-                )
-            epoch_loss += loss_value * len(batch)
-            epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
-            # The previous step's gradients are cleared only now: the report
-            # above can name them, and this step's backward reuses their freed
-            # memory (clearing them before the forward measured 5x the page
-            # faults per step, the memory going back to the OS and returning).
+    try:
+        for epoch in range(1, config.epochs + 1):
+            epoch_order = train_idx[rng.permutation(len(train_idx))]
+            epoch_loss = 0.0
+            epoch_correct = 0
+            for step, start in enumerate(range(0, len(epoch_order), config.batch_size), start=1):
+                batch = epoch_order[start:start + config.batch_size]
+                logits, labels = _batch_forward(params, dataset, batch)
+                loss = cross_entropy(logits, labels)
+                loss_value = float(loss.data)
+                if not math.isfinite(loss_value):
+                    raise ContractError(
+                        _non_finite_message(params, loss_value, epoch, step, optimizer.steps + 1)
+                    )
+                epoch_loss += loss_value * len(batch)
+                epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
+                # The previous step's gradients are cleared only now: the report
+                # above can name them, and this step's backward reuses their freed
+                # memory (clearing them before the forward measured 5x the page
+                # faults per step, the memory going back to the OS and returning).
+                params.zero_grads()
+                ad.backward(loss)
+                optimizer.step()
+            # the epoch's last gradients are spent: the validation pass, where
+            # the peak memory arrives, runs without them
             params.zero_grads()
-            ad.backward(loss)
-            optimizer.step()
-        emit(epoch, "train", epoch_loss / len(epoch_order), 100.0 * epoch_correct / len(epoch_order))
-        if len(val_idx):
-            loss_sum, confusion = _score(params, dataset, val_idx)
-            val_acc = 100.0 * int(np.trace(confusion)) / len(val_idx)
-            emit(epoch, "val", loss_sum / len(val_idx), val_acc)
-            if val_acc > best_acc:
-                best, best_acc = optimizer.flat.copy(), val_acc
+            emit(epoch, "train", epoch_loss / len(epoch_order), 100.0 * epoch_correct / len(epoch_order))
+            if len(val_idx):
+                loss_sum, confusion = _score(params, dataset, val_idx)
+                val_acc = 100.0 * int(np.trace(confusion)) / len(val_idx)
+                emit(epoch, "val", loss_sum / len(val_idx), val_acc)
+                if val_acc > best_acc:
+                    best_acc = val_acc
+                    if partial is not None:
+                        save_checkpoint(partial, params)
 
-    if ckpt_path is not None:
-        save_checkpoint(ckpt_path, params)
-        if best is not None:
-            bind(optimizer.tensors, best)
-            save_checkpoint(str(ckpt_path) + ".best", params)
-            bind(optimizer.tensors, optimizer.flat)
+        if ckpt_path is not None:
+            save_checkpoint(ckpt_path, params)
+            if len(val_idx):
+                os.replace(partial, f"{ckpt_path}.best")
+    finally:
+        if partial is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)  # left only by a run that raised
     return records
 
 

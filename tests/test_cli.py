@@ -265,6 +265,24 @@ def test_non_finite_loss_exits_1_without_checkpoint(tmp_path):
     assert not ckpt.exists() and not (tmp_path / "x.ckpt.best").exists()
 
 
+def test_non_finite_run_leaves_only_its_log(tmp_path):
+    # epoch 1 validates and writes a .best candidate; epoch 2 goes non-finite
+    data = tmp_path / "data"
+    assert run_cli("gen-data", "--out", str(data), "--seed", "0").returncode == 0
+    config = tmp_path / "diverge.cfg"
+    config.write_text("optimizer=sgd\nlr=1e6\nepochs=2\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    result = run_cli(
+        "train", "--data", str(data), "--variant", "baseline",
+        "--config", str(config), "--out", str(out / "x.ckpt"),
+    )
+    assert result.returncode == 1
+    assert "epoch=1 split=val" in result.stdout
+    assert "at epoch 2, step " in result.stderr
+    assert sorted(os.listdir(out)) == ["x.ckpt.log"]
+
+
 def test_confidently_wrong_run_reports_its_true_loss(workspace, tmp_path):
     # After one SGD step at lr=1e6 the baseline is confidently wrong on its
     # validation clips. A clamped probability would pin the loss at

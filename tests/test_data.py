@@ -15,6 +15,7 @@ from skelact.data import (
     preprocess_features,
     preprocess_skeleton,
     sample_frames,
+    write_container,
     write_feature_file,
     write_skeleton_file,
 )
@@ -222,6 +223,29 @@ def test_skeleton_round_trip(tmp_path):
     assert (loaded.joints_per_subject, loaded.subjects) == (4, 2)
     assert (loaded.spine_index, loaded.label) == (3, 11)
     np.testing.assert_array_equal(loaded.positions, sample.positions)
+
+
+def test_failed_container_write_keeps_the_previous_file(tmp_path):
+    rng = np.random.default_rng(12)
+    sample = make_sample(rng, frames=5, joints=4)
+    path = tmp_path / "a.skl"
+    write_skeleton_file(path, sample)
+    before = path.read_bytes()
+
+    def arrays():
+        yield np.ones(8)
+        raise OSError("device full")
+
+    with pytest.raises(OSError, match="device full"):
+        write_container(path, b"SKL1", b"\x00" * 20, arrays())
+    assert [p.name for p in tmp_path.iterdir()] == ["a.skl"]
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(load_skeleton_file(path).positions, sample.positions)
+    # a write that completes replaces the file and leaves nothing beside it
+    other = make_sample(rng, frames=5, joints=4)
+    write_skeleton_file(path, other)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.skl"]
+    np.testing.assert_array_equal(load_skeleton_file(path).positions, other.positions)
 
 
 def test_skeleton_bad_magic(tmp_path):

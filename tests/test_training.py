@@ -426,9 +426,56 @@ def test_train_writes_checkpoints(tmp_path):
         loaded = load_checkpoint(ckpt)
         for (name, t), want in zip(loaded.named_parameters(), expected, strict=True):
             np.testing.assert_array_equal(t.data, want, err_msg=f"{ckpt.name}: {name}")
-    # saving .best binds the tensors to its weights; train() binds them back
+    # writing .best as validation improves leaves the trained weights in place
     for (name, t), want in zip(params.named_parameters(), final, strict=True):
         np.testing.assert_array_equal(t.data, want, err_msg=name)
+
+
+def test_failed_run_leaves_the_directory_as_it_was(tmp_path):
+    dataset = tiny_dataset()
+    path = tmp_path / "run.ckpt"
+    train(dataset, tiny_model(), TrainConfig(optimizer="sgd", lr=0.3, epochs=1, seed=0), ckpt_path=path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["run.ckpt", "run.ckpt.best"]
+    partial = tmp_path / "run.ckpt.best.partial"
+    candidate_written = []
+
+    def log_fn(line):
+        if line.startswith("epoch=2 split=train"):
+            candidate_written.append(partial.is_file())  # epoch 1's validation wrote one
+            raise KeyboardInterrupt
+
+    config = TrainConfig(optimizer="sgd", lr=0.3, epochs=3, seed=0, val_fraction=0.5)
+    with pytest.raises(KeyboardInterrupt):
+        train(dataset, tiny_model(seed=1), config, ckpt_path=path, log_fn=log_fn)
+    assert candidate_written == [True]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_validation_and_return_hold_no_gradients(monkeypatch):
+    score = training._score
+    grads_at_score = []
+
+    def spy(params, dataset, indices):
+        grads_at_score.append([t.grad for t in params.tensors()])
+        return score(params, dataset, indices)
+
+    monkeypatch.setattr(training, "_score", spy)
+    params = tiny_model()
+    train(tiny_dataset(), params, TrainConfig(optimizer="adam", epochs=3, seed=0))
+    assert len(grads_at_score) == 3
+    assert all(grad is None for grads in grads_at_score for grad in grads)
+    assert all(t.grad is None for t in params.tensors())
+
+
+def test_no_checkpoint_path_writes_no_checkpoint(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(training, "save_checkpoint", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    records = train(tiny_dataset(), tiny_model(), TrainConfig(epochs=3, seed=0))
+    assert [r["split"] for r in records] == ["train", "val"] * 3
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_adam_epoch_from_a_loaded_model_equals_one_from_a_build(tmp_path):
