@@ -20,11 +20,14 @@ HEADS = 4  # the paper's head count, used by every model build
 @dataclass
 class AttentionParams:
     heads: int
-    model_dim: int
     w_q: "ad.Tensor"  # [D, D], head i in columns i*w:(i+1)*w
     w_k: "ad.Tensor"  # [D, D]
     w_v: "ad.Tensor"  # [D, D]
     w_o: "ad.Tensor"  # [D, D]
+
+    @property
+    def model_dim(self):
+        return self.w_q.data.shape[0]
 
     @property
     def head_width(self):
@@ -49,10 +52,9 @@ def init_attention_params(rng, model_dim, heads=HEADS):
     # with rng None (a checkpoint load) they are left unwritten
     for i in range(heads if rng is not None else 0):
         for projection in stacked:
-            projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w), model_dim, w).data
+            projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w)).data
     w_q, w_k, w_v = (ad.Tensor(projection, requires_grad=True) for projection in stacked)
-    w_o = ad.glorot_uniform(rng, (model_dim, model_dim), model_dim, model_dim)
-    return AttentionParams(heads, model_dim, w_q, w_k, w_v, w_o)
+    return AttentionParams(heads, w_q, w_k, w_v, ad.glorot_uniform(rng, (model_dim, model_dim)))
 
 
 def scaled_dot_attention(q, k, v, d_k, return_weights=False):

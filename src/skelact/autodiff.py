@@ -555,8 +555,10 @@ def gradient_check(f, x):
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
 
 
-def glorot_uniform(rng, shape, fan_in, fan_out):
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), as a trainable tensor.
+def glorot_uniform(rng, shape):
+    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), as a trainable tensor of `shape`
+    [..., D_in, D_out]: fan_in = prod(shape[:-1]) and fan_out = prod(shape[:-2]) * D_out,
+    so K*C_in and K*C_out for a conv kernel [K, C_in, C_out] (Glorot & Bengio 2010).
 
     With rng None nothing is drawn or written: the tensor holds uninitialised
     memory, for a checkpoint load to bind to its payload. `constant` and the
@@ -564,6 +566,7 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
     """
     if rng is None:
         return Tensor(np.empty(shape), requires_grad=True)
+    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 

@@ -84,33 +84,32 @@ def _filtered(pairs, allowed, path, what):
 # dataset directories
 
 
-def _dataset_paths(data_dir, suffix):
-    return sorted(Path(data_dir).glob(f"*{suffix}"))
-
-
 def load_dataset_dir(data_dir, need_pose, need_rgb):
     """Preprocessed samples plus the dims implied by the files on disk.
 
-    Clips are the `.skl` stems when the pose branch is needed, else the `.ftr`
-    stems; when both are read, each stem must have both files, and a clip
-    must carry one label in both.
+    A clip is a stem listed with any suffix the run reads (`.skl` for pose, `.ftr`
+    for RGB) and must be listed with each, in the order of its first suffix's file
+    names. When both are read, a clip must carry one label in both.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise ContractError(f"{data_dir} is not a directory")
-    need_rgb = need_rgb or not need_pose
-    suffix, what, branch = (".skl", "skeleton", "pose") if need_pose else (".ftr", "RGB feature", "RGB")
-    paths = _dataset_paths(data_dir, suffix)
-    if not paths:
-        raise ContractError(f"no {what} ({suffix}) files in {data_dir}; the {branch} branch requires them")
-    if need_pose and need_rgb:
-        for ftr_path in _dataset_paths(data_dir, ".ftr"):
-            if not ftr_path.with_suffix(".skl").exists():
-                raise ContractError(f"missing skeleton file {ftr_path.with_suffix('.skl')} for {ftr_path}; "
-                                    "this run requires both modalities")
+    modality = {".skl": "skeleton", ".ftr": "RGB feature"}
+    suffixes = [suffix for suffix, need in zip(modality, (need_pose, need_rgb)) if need]
+    listed = [{path.stem: path for path in data_dir.glob(f"*{suffix}")} for suffix in suffixes]
+    stems = sorted(set().union(*listed), key=lambda stem: stem + suffixes[0])
+    if not stems:
+        raise ContractError(f"no {' or '.join(suffixes)} files in {data_dir}; this run requires them")
     samples = []
     joints_eff = None
-    for path in paths:
+    for stem in stems:
+        paths = [files.get(stem) for files in listed]
+        if None in paths:
+            suffix = suffixes[paths.index(None)]
+            there = next(path for path in paths if path is not None)
+            raise ContractError(f"missing {modality[suffix]} file {data_dir / (stem + suffix)} for {there}; "
+                                "this run requires both modalities")
+        path = paths[0]
         pose = features = label = None
         if need_pose:
             raw = load_skeleton_file(path)
@@ -120,9 +119,7 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
             elif pose.shape[1] != joints_eff:
                 raise ContractError(f"{path}: {pose.shape[1]} effective joints, other files have {joints_eff}")
         if need_rgb:
-            ftr_path = path.with_suffix(".ftr")
-            if not ftr_path.exists():
-                raise ContractError(f"missing RGB feature file {ftr_path}; this run requires both modalities")
+            ftr_path = paths[-1]
             fseq = load_feature_file(ftr_path)
             if need_pose and fseq.label != label:
                 raise ContractError(f"{path} has label {label} but {ftr_path} has label {fseq.label}")
@@ -156,6 +153,9 @@ def cmd_gen_data(args):
         pairs["seed"] = args.seed
     spec = SyntheticSpec(**pairs)
     out = Path(args.out)
+    clip = next((path for suffix in (".skl", ".ftr") for path in out.glob(f"*{suffix}")), None)
+    if clip is not None:
+        raise ContractError(f"{out} already holds clips ({clip}); write the dataset to a new directory")
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
     files = []

@@ -208,11 +208,8 @@ def _build(ablation, dims, seed, component_rng):
     if ablation.branch in ("rgb", "both"):
         rgb = init_tail(component_rng, "rgb", dims.rgb_width, dims.hidden, ablation.use_attention)
 
-    fused_width = 2 * dims.hidden
     head_rng = component_rng("classifier")
-    classifier_w = ad.glorot_uniform(
-        head_rng, (fused_width, dims.num_classes), fused_width, dims.num_classes
-    )
+    classifier_w = ad.glorot_uniform(head_rng, (2 * dims.hidden, dims.num_classes))
     classifier_b = ad.constant(head_rng, dims.num_classes, 0.0)
     return ModelParams(ablation, dims, seed, pose, rgb, classifier_w, classifier_b)
 
@@ -313,10 +310,6 @@ def save_checkpoint(path, params):
     write_container(path, _CKPT_MAGIC, header, [tensor.data for tensor in params.tensors()])
 
 
-def _is_size(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _checkpoint_header(path, head, read):
     """(ablation, dims, seed, tensor entries) and float64 count of a CKP2 file."""
     (manifest_len,) = struct.unpack("<I", head[4:8])
@@ -328,12 +321,13 @@ def _checkpoint_header(path, head, read):
     try:
         if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
             raise ContractError(f"manifest must be an object with keys {sorted(_MANIFEST_KEYS)}")
-        if not _is_size(manifest["seed"]):
-            raise ContractError(f"seed {manifest['seed']!r} is not a non-negative integer")
+        require_integer("manifest", "seed", manifest["seed"], 0)
         entries = [[name, shape] for name, shape in manifest["tensors"]]
         for name, shape in entries:
-            if not isinstance(name, str) or not isinstance(shape, list) or not all(map(_is_size, shape)):
+            if not isinstance(name, str) or not isinstance(shape, list):
                 raise ContractError(f"tensor entry {[name, shape]!r} is not [name, list of sizes]")
+            for size in shape:
+                require_integer("manifest", f"tensors[{name!r}]", size, 0)
         ablation = AblationConfig(**manifest["ablation"])
         dims = ModelDims(**manifest["dims"])
     except (TypeError, ValueError) as exc:  # ContractError and DimensionError included

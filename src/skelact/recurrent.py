@@ -26,7 +26,10 @@ class LstmParams:
     w_x: "ad.Tensor"   # [D, 4H], gate blocks ordered input, forget, cell, output
     w_h: "ad.Tensor"   # [H, 4H]
     bias: "ad.Tensor"  # [4H]
-    hidden: int
+
+    @property
+    def hidden(self):
+        return self.w_h.data.shape[0]
 
     def named(self):
         yield "wx", self.w_x
@@ -35,12 +38,12 @@ class LstmParams:
 
 
 def init_lstm_params(rng, input_dim, hidden):
-    w_x = ad.glorot_uniform(rng, (input_dim, 4 * hidden), input_dim, 4 * hidden)
-    w_h = ad.glorot_uniform(rng, (hidden, 4 * hidden), hidden, 4 * hidden)
+    w_x = ad.glorot_uniform(rng, (input_dim, 4 * hidden))
+    w_h = ad.glorot_uniform(rng, (hidden, 4 * hidden))
     bias = ad.constant(rng, 4 * hidden, 0.0)
     if rng is not None:
         bias.data[hidden:2 * hidden] = 1.0  # forget gate starts open
-    return LstmParams(w_x, w_h, bias, hidden)
+    return LstmParams(w_x, w_h, bias)
 
 
 def lstm_forward(seq, params, reverse=False):

@@ -97,10 +97,7 @@ def named_conv_stack(prefix, layers):
 
 
 def init_conv_params(rng, kernel_width, c_in, c_out):
-    kernel = ad.glorot_uniform(
-        rng, (kernel_width, c_in, c_out), kernel_width * c_in, kernel_width * c_out
-    )
-    return ConvParams(kernel, ad.constant(rng, c_out, 0.0))
+    return ConvParams(ad.glorot_uniform(rng, (kernel_width, c_in, c_out)), ad.constant(rng, c_out, 0.0))
 
 
 def init_conv_stack(rng, c_in, filters, kernels):

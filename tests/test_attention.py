@@ -112,7 +112,7 @@ def test_single_head_identity_projections_reduce():
     d = 5
     x = ad.Tensor(rng.normal(size=(4, d)))
     eye = lambda: ad.Tensor(np.eye(d), requires_grad=True)
-    params = AttentionParams(1, d, eye(), eye(), eye(), eye())
+    params = AttentionParams(1, eye(), eye(), eye(), eye())
     out = multi_head_self_attention(x, params)
     expect = scaled_dot_attention(x, x, x, float(d))
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
@@ -160,6 +160,16 @@ def test_square_heads_stack_four_projections():
     assert [n for n, _ in params.named()] == ["wq", "wk", "wv", "wo"]
     for w in (params.w_q, params.w_k, params.w_v, params.w_o):
         assert w.data.shape == (6, 6)
+
+
+@pytest.mark.parametrize("model_dim,heads", [(6, 2), (8, 4), (5, 1)])
+def test_widths_are_read_from_the_projections(model_dim, heads):
+    rng = np.random.default_rng(25)
+    weights = [ad.Tensor(rng.normal(size=(model_dim, model_dim))) for _ in range(4)]
+    params = AttentionParams(heads, *weights)
+    assert (params.model_dim, params.head_width) == (model_dim, model_dim // heads)
+    x = rng.normal(size=(3, model_dim))
+    np.testing.assert_allclose(multi_head_self_attention(ad.Tensor(x), params).data, mha_oracle(x, params), atol=1e-10)
 
 
 @pytest.mark.parametrize("model_dim,heads", [(6, 2), (8, 4), (5, 1)])

@@ -79,6 +79,24 @@ def test_gen_data_deterministic(workspace):
     assert file_digests(workspace / "data") == file_digests(again)
 
 
+def test_gen_data_refuses_a_directory_that_holds_clips(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    before = file_digests(data)
+    spec = tmp_path / "two.cfg"
+    spec.write_text("num_classes=2\nsamples_per_class=1\njoints=4\nframes=10\n")
+    result = run_cli("gen-data", "--spec", str(spec), "--out", str(data), "--seed", "6")
+    assert result.returncode == 1
+    assert str(data) in result.stderr and ".skl" in result.stderr
+    assert file_digests(data) == before
+    # a directory without clips is written into as before
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "notes.txt").write_text("kept\n")
+    assert run_cli("gen-data", "--spec", str(spec), "--out", str(other)).returncode == 0
+    assert len(list(other.glob("*.skl"))) == 2 and (other / "notes.txt").read_text() == "kept\n"
+
+
 def test_gen_data_missing_out_is_usage_error():
     result = run_cli("gen-data")
     assert result.returncode == 2
@@ -178,6 +196,31 @@ def test_feature_file_without_its_skeleton_is_rejected_in_a_both_branch_load(wor
     assert str(orphan) in str(info.value)
     samples, _, _ = load_dataset_dir(data, False, True)  # an RGB-only run reads every .ftr
     assert len(samples) == len(list(data.glob("*.ftr")))
+
+
+def test_skeleton_file_without_its_features_is_rejected_in_a_both_branch_load(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    lone = data / "lone.skl"
+    shutil.copy(data / "sample_00000_c0.skl", lone)
+    with pytest.raises(ContractError) as info:
+        load_dataset_dir(data, True, True)
+    assert str(lone) in str(info.value) and str(data / "lone.ftr") in str(info.value)
+    samples, _, _ = load_dataset_dir(data, True, False)  # a pose-only run reads every .skl
+    assert len(samples) == len(list(data.glob("*.skl")))
+
+
+def test_clips_load_in_the_order_of_their_first_file_names(workspace, tmp_path):
+    # "clip-2.skl" sorts before "clip.skl" although the stem "clip" sorts before "clip-2"
+    data = tmp_path / "data"
+    data.mkdir()
+    sources = {"clip": "sample_00000_c0", "clip-2": next((workspace / "data").glob("*_c1.skl")).stem}
+    for stem, source in sources.items():
+        for suffix in (".skl", ".ftr"):
+            shutil.copy(workspace / "data" / f"{source}{suffix}", data / f"{stem}{suffix}")
+    for need_pose, need_rgb in ((True, False), (False, True), (True, True)):
+        samples, _, _ = load_dataset_dir(data, need_pose, need_rgb)
+        assert [sample.label for sample in samples] == [1, 0]
 
 
 def test_clip_whose_skeleton_and_feature_labels_disagree_is_rejected(workspace, tmp_path):

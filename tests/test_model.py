@@ -341,6 +341,10 @@ def _with_dims(manifest, **fields):
     return {**manifest, "dims": {**manifest["dims"], **fields}}
 
 
+def _with_sizes(manifest, edit):
+    return {**manifest, "tensors": [[name, [edit(size) for size in shape]] for name, shape in manifest["tensors"]]}
+
+
 BAD_MANIFESTS = {
     "list": lambda m: [m],
     "string": lambda m: "manifest",
@@ -373,6 +377,11 @@ BAD_MANIFESTS = {
     "tensor-entry-short": lambda m: {**m, "tensors": [["classifier.bias"]]},
     "tensors-int": lambda m: {**m, "tensors": 7},
     "tensor-name-list": lambda m: {**m, "tensors": [[["classifier", "bias"], [2]]]},
+    # every size of every entry edited; [True] == [1] and [2.0] == [2], so a comparison
+    # with the build's list alone would accept the first two
+    "size-bool": lambda m: _with_sizes(m, lambda size: True if size == 1 else size),
+    "size-float": lambda m: _with_sizes(m, float),
+    "size-negative": lambda m: _with_sizes(m, lambda size: -size),
     # one [1e7, 1e7] projection is larger than the address space: MemoryError at once
     "rgb-width-huge": lambda m: _with_dims(m, rgb_width=10**7),
     "shape-total": lambda m: {**m, "tensors": [

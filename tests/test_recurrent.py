@@ -42,7 +42,6 @@ def test_zero_weights_give_zero_states():
         ad.Tensor(np.zeros((3, 8)), requires_grad=True),
         ad.Tensor(np.zeros((2, 8)), requires_grad=True),
         ad.Tensor(np.zeros(8), requires_grad=True),
-        hidden=2,
     )
     seq = ad.Tensor(np.random.default_rng(0).normal(size=(5, 3)))
     out = lstm_forward(seq, params)
@@ -68,7 +67,7 @@ def test_two_step_hand_recurrence():
     c2 = f2 * c1 + i2 * g2
     h2 = o2 * np.tanh(c2)
 
-    params = LstmParams(ad.Tensor(w_x), ad.Tensor(w_h), ad.Tensor(bias), hidden=1)
+    params = LstmParams(ad.Tensor(w_x), ad.Tensor(w_h), ad.Tensor(bias))
     out = lstm_forward(ad.Tensor(seq), params)
     np.testing.assert_allclose(out.data[:, 0], [h1, h2], atol=1e-12)
 
@@ -113,6 +112,15 @@ def test_forget_bias_initialized_to_one():
     np.testing.assert_array_equal(params.bias.data[:4], np.zeros(4))
     assert params.w_x.data.shape == (5, 16)
     assert params.w_h.data.shape == (4, 16)
+
+
+@pytest.mark.parametrize("d,h", [(3, 2), (5, 4), (0, 1)])
+def test_hidden_size_is_read_from_the_recurrent_weight(d, h):
+    rng = np.random.default_rng(24)
+    w_x, w_h, bias = (ad.Tensor(rng.normal(size=shape)) for shape in ((d, 4 * h), (h, 4 * h), (4 * h,)))
+    params = LstmParams(w_x, w_h, bias)
+    assert params.hidden == h
+    assert lstm_forward(ad.Tensor(rng.normal(size=(2, d))), params).data.shape == (2, h)
 
 
 def test_shape_errors():
@@ -394,7 +402,7 @@ def bilstm_bits(values, offset, seq_data, upstream, h):
     np.concatenate([v.ravel() for v in values], out=flat)
     tensors = [ad.Tensor(np.empty(v.shape), requires_grad=True) for v in values]
     bind(tensors, flat)
-    fwd, bwd = LstmParams(*tensors[:3], h), LstmParams(*tensors[3:], h)
+    fwd, bwd = LstmParams(*tensors[:3]), LstmParams(*tensors[3:])
     seq = ad.Tensor(seq_data, requires_grad=True)
     out = bilstm(seq, fwd, bwd)
     ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))

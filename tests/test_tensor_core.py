@@ -687,3 +687,21 @@ def test_empty_axes(case):
     np.testing.assert_array_equal(x.grad, np.zeros(x.shape))
     np.testing.assert_array_equal(weight.grad, np.zeros(weight.shape))
     np.testing.assert_allclose(bias.grad, probe.sum(axis=0), rtol=0, atol=1e-12)
+
+
+def reference_glorot(rng, shape, fan_in, fan_out):
+    """Glorot-uniform with the fans passed in: the draw `glorot_uniform` must equal bit for bit."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+@pytest.mark.parametrize("shape,fan_in,fan_out", [
+    ((5, 7), 5, 7),  # a dense weight [D_in, D_out]
+    ((3, 4, 6), 12, 18),  # a conv kernel [K, C_in, C_out]: K*C_in and K*C_out
+    ((1, 3, 2), 3, 2),  # a one-tap conv kernel, whose fans are a dense weight's
+])
+def test_glorot_fans_come_from_the_shape(shape, fan_in, fan_out):
+    got = ad.glorot_uniform(np.random.default_rng(23), shape)
+    want = reference_glorot(np.random.default_rng(23), shape, fan_in, fan_out)
+    assert got.requires_grad and got.data.shape == shape
+    np.testing.assert_array_equal(got.data, want)
