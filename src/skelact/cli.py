@@ -29,7 +29,7 @@ from .data import (
     write_skeleton_file,
 )
 from .errors import ContractError
-from .model import BRANCHES, VARIANT_FLAGS, ModelDims, build_variant, load_checkpoint, variant_config
+from .model import BRANCH_VARIANTS, BRANCHES, VARIANT_ROWS, ModelDims, build_variant, load_checkpoint, variant_config
 from .training import TrainConfig, evaluate, train
 
 TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -228,15 +228,12 @@ def cmd_ablate(args):
     config = _resolve_train_config(args)
     samples, dims = _branch_dataset(args)
     rows = []
-    for variant, (label, *_) in VARIANT_FLAGS.items():
+    for variant in BRANCH_VARIANTS[args.branch]:
         params = build_variant(variant_config(variant, branch=args.branch), dims, seed=config.seed)
         records = train(samples, params, config)
         val_accuracies = [r["accuracy"] for r in records if r["split"] == "val"]
-        if val_accuracies:
-            accuracy = max(val_accuracies)
-        else:
-            accuracy = records[-1]["accuracy"]
-        rows.append((label, accuracy))
+        accuracy = max(val_accuracies) if val_accuracies else records[-1]["accuracy"]
+        rows.append((VARIANT_ROWS[variant], accuracy))
     print("| Variant | Accuracy (%) |")
     print("|---|---|")
     for label, accuracy in rows:
@@ -247,8 +244,7 @@ def cmd_ablate(args):
 def cmd_inspect(args):
     params = load_checkpoint(args.checkpoint)
     ablation = params.ablation
-    flags = f"seu={ablation.use_seu} teu={ablation.use_teu} attention={ablation.use_attention}"
-    print(f"branch={ablation.branch} {flags} seed={params.seed}")
+    print(f"branch={ablation.branch} variant={ablation.variant} seed={params.seed}")
     d = params.dims
     print(
         f"dims: frames={d.frames} joints={d.joints} coords={COORDS} "
@@ -305,7 +301,7 @@ def build_parser():
     shared.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train", parents=[shared], help="train one variant")
-    p.add_argument("--variant", required=True, choices=list(VARIANT_FLAGS))
+    p.add_argument("--variant", required=True, choices=list(VARIANT_ROWS))
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(fn=cmd_train)
 
@@ -314,7 +310,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ablate", parents=[shared], help="train each ablation variant, print a table")
+    p = sub.add_parser("ablate", parents=[shared], help="train each variant of the branch, print a table")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suites")

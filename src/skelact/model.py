@@ -1,9 +1,9 @@
 """Network assembly: pose branch, RGB branch, late fusing of the two, ablation variants.
 
 Every component draws its initial weights from its own seeded stream, so
-toggling one ablation flag never shifts the initialization of the others;
-two builds of the same (config, seed) are bit-identical, and a variant with
-an extra module enabled keeps all shared parameters equal.
+adding one module never shifts the initialization of the others; two builds
+of the same (config, seed) are bit-identical, and a row of the ablation
+table keeps all the parameters it shares with the rows above it equal.
 """
 
 from __future__ import annotations
@@ -37,36 +37,38 @@ from .streams import (
     teu_encode,
 )
 
-# the ablation table, in row order: each variant's row label, then use_seu, use_teu, use_attention
-VARIANT_FLAGS = {
-    "baseline": ("Baseline", False, False, False),
-    "seu": ("+ SEU", True, False, False),
-    "seu+teu": ("+ TEU", True, True, False),
-    "full": ("+ Multi-Head Self Attention", True, True, True),
+# the ablation table, in row order: each variant's row label; each row adds one module to the row above
+VARIANT_ROWS = {
+    "baseline": "Baseline",
+    "seu": "+ SEU",
+    "seu+teu": "+ TEU",
+    "full": "+ Multi-Head Self Attention",
 }
-BRANCHES = ("pose", "rgb", "both")
+# the variants each branch builds: the RGB branch has no pose encoder, so only attention changes its model
+BRANCH_VARIANTS = {"pose": tuple(VARIANT_ROWS), "rgb": ("baseline", "full"), "both": tuple(VARIANT_ROWS)}
+BRANCHES = tuple(BRANCH_VARIANTS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationConfig:
-    use_seu: bool = True
-    use_teu: bool = True
-    use_attention: bool = True
-    branch: str = "pose"
+    """One row of the ablation table on one branch; the modules it uses follow from the row."""
+    variant: str
+    branch: str
 
     def __post_init__(self):
-        for name in ("use_seu", "use_teu", "use_attention"):
-            if not isinstance(getattr(self, name), bool):
-                raise ContractError(f"AblationConfig.{name} must be a bool, got {getattr(self, name)!r}")
         if self.branch not in BRANCHES:
             raise ContractError(f"branch must be pose, rgb, or both, got {self.branch!r}")
+        allowed = BRANCH_VARIANTS[self.branch]
+        if self.variant not in allowed:
+            raise ContractError(f"branch {self.branch} has variants {', '.join(allowed)}, got {self.variant!r}")
+
+    use_seu = property(lambda self: self.variant != "baseline")
+    use_teu = property(lambda self: self.variant in ("seu+teu", "full"))
+    use_attention = property(lambda self: self.variant == "full")
 
 
 def variant_config(name, branch="pose"):
-    if name not in VARIANT_FLAGS:
-        raise ContractError(f"unknown variant {name!r}, expected one of {sorted(VARIANT_FLAGS)}")
-    _, seu, teu, attention = VARIANT_FLAGS[name]
-    return AblationConfig(seu, teu, attention, branch)
+    return AblationConfig(name, branch)
 
 
 @dataclass

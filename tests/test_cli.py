@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from skelact import verify
+from skelact import cli, verify
 from skelact.cli import load_dataset_dir, main
 from skelact.errors import ContractError
 from skelact.model import (
-    VARIANT_FLAGS,
+    BRANCH_VARIANTS,
+    BRANCHES,
+    VARIANT_ROWS,
     ModelDims,
     build_variant,
     load_checkpoint,
@@ -157,7 +159,7 @@ def test_inspect_prints_every_line_of_a_tiny_checkpoint(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == (
-        "branch=both seu=True teu=True attention=True seed=0\n"
+        "branch=both variant=full seed=0\n"
         "dims: frames=3 joints=2 coords=3 channel_dim=4 hidden=2 heads=4 classes=2 rgb_width=4\n"
         "parameters:\n"
         "  classifier 10\n"
@@ -365,12 +367,51 @@ def test_ablate_table_and_determinism(workspace):
     assert second.stdout == first.stdout
 
 
-def test_ablate_prints_one_row_per_variant_in_table_order(workspace, monkeypatch, capsys):
-    monkeypatch.setitem(VARIANT_FLAGS, "teu", ("+ TEU alone", False, True, False))
-    code = main(["ablate", "--data", str(workspace / "data"), "--config", str(workspace / "train.cfg")])
+def ablate_rows(workspace, branch, capsys):
+    code = main(["ablate", "--data", str(workspace / "data"), "--branch", branch,
+                 "--config", str(workspace / "train.cfg")])
     assert code == 0
-    labels = [line.split("|")[1].strip() for line in capsys.readouterr().out.strip().split("\n")[2:]]
-    assert labels == ["Baseline", "+ SEU", "+ TEU", "+ Multi-Head Self Attention", "+ TEU alone"]
+    return [line.split("|")[1].strip() for line in capsys.readouterr().out.strip().split("\n")[2:]]
+
+
+def test_ablate_prints_one_row_per_variant_in_table_order(workspace, monkeypatch, capsys):
+    trained = []
+
+    def fake_train(samples, params, config):
+        trained.append(params.ablation)
+        return [{"split": "val", "accuracy": 50.0}]
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    for branch in BRANCHES:
+        trained.clear()
+        labels = ablate_rows(workspace, branch, capsys)
+        assert [(a.variant, a.branch) for a in trained] == [(v, branch) for v in BRANCH_VARIANTS[branch]]
+        assert labels == [VARIANT_ROWS[v] for v in BRANCH_VARIANTS[branch]]
+
+
+def test_ablate_rgb_trains_baseline_and_full_once_each(workspace, monkeypatch, capsys):
+    # seu and seu+teu would build the rgb baseline again: the RGB branch has no pose encoder
+    calls = []
+    real_train = cli.train
+
+    def counting_train(samples, params, config):
+        calls.append(params.ablation.variant)
+        return real_train(samples, params, config)
+
+    monkeypatch.setattr(cli, "train", counting_train)
+    assert ablate_rows(workspace, "rgb", capsys) == ["Baseline", "+ Multi-Head Self Attention"]
+    assert calls == ["baseline", "full"]
+
+
+@pytest.mark.parametrize("variant", ["seu", "seu+teu"])
+def test_train_refuses_a_pose_encoder_variant_on_the_rgb_branch(workspace, tmp_path, capsys, variant):
+    # the data directory does not exist: the refusal comes before any data is read
+    code = main(["train", "--data", str(tmp_path / "absent"), "--branch", "rgb", "--variant", variant,
+                 "--config", str(workspace / "train.cfg"), "--out", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "baseline" in err and "full" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_train_and_ablate_describe_their_shared_flags_alike(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from skelact.attention import multi_head_self_attention
 from skelact.data import COORDS
 from skelact.errors import ContractError, DimensionError, ParseError
 from skelact.model import (
+    VARIANT_ROWS,
     AblationConfig,
     ModelDims,
     build_variant,
@@ -116,13 +117,24 @@ def test_zero_classifier_gives_uniform_probabilities():
 
 
 def test_variant_config_mapping():
-    cfg = variant_config("seu+teu")
-    assert (cfg.use_seu, cfg.use_teu, cfg.use_attention) == (True, True, False)
-    assert variant_config("baseline").use_seu is False
-    with pytest.raises(ContractError):
+    # each row of the ladder adds one module to the row above it
+    modules = {v: (c.use_seu, c.use_teu, c.use_attention) for v in VARIANT_ROWS for c in [variant_config(v)]}
+    assert modules == {
+        "baseline": (False, False, False),
+        "seu": (True, False, False),
+        "seu+teu": (True, True, False),
+        "full": (True, True, True),
+    }
+    for branch in ("rgb", "both"):
+        assert variant_config("full", branch).use_attention and not variant_config("baseline", branch).use_attention
+    with pytest.raises(ContractError, match="has variants baseline, seu, seu\\+teu, full"):
         variant_config("everything")
+    # the RGB branch has no pose encoder to ablate
+    for variant in ("seu", "seu+teu"):
+        with pytest.raises(ContractError, match="branch rgb has variants baseline, full, got"):
+            variant_config(variant, "rgb")
     with pytest.raises(ContractError):
-        AblationConfig(branch="audio")
+        AblationConfig("full", "audio")
 
 
 def test_variant_parameter_names_nest():
@@ -239,7 +251,7 @@ def test_rgb_branch_rejects_wrong_width():
         with pytest.raises(DimensionError, match="frames"):
             forward(params, features=ad.Tensor(features))
     # without attention the BiLSTM is the tail's first layer, and it checks the width
-    no_attention = build_variant(variant_config("seu+teu", "rgb"), dims, 0)
+    no_attention = build_variant(variant_config("baseline", "rgb"), dims, 0)
     with pytest.raises(DimensionError, match="width"):
         rgb_branch(ad.Tensor(np.zeros((dims.frames, 5))), no_attention)
 
@@ -350,8 +362,13 @@ BAD_MANIFESTS = {
     "string": lambda m: "manifest",
     "no-ablation": lambda m: {k: v for k, v in m.items() if k != "ablation"},
     "extra-key": lambda m: {**m, "extra": 1},
-    "bad-branch": lambda m: {**m, "ablation": {"branch": "hands"}},
-    "flag-string": lambda m: {**m, "ablation": {**m["ablation"], "use_seu": "false"}},
+    "bad-branch": lambda m: {**m, "ablation": {**m["ablation"], "branch": "hands"}},
+    # a parent's bool flag where the variant name goes
+    "flag-string": lambda m: {**m, "ablation": {**m["ablation"], "variant": True}},
+    "parent-ablation-flags": lambda m: {**m, "ablation": {
+        "use_seu": True, "use_teu": True, "use_attention": True, "branch": "both",
+    }},
+    "rgb-seu": lambda m: {**m, "ablation": {"variant": "seu", "branch": "rgb"}},
     "parent-split-heads": lambda m: _with_dims(m, attention_split_heads=True),
     "dims-tied-key": lambda m: _with_dims(m, attention_tied=False),
     "dims-fusion-key": lambda m: _with_dims(m, fusion="time"),

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -12,8 +11,8 @@ import skelact.training as training
 from skelact.data import Sample, SyntheticSpec, generate_synthetic
 from skelact.errors import ContractError
 from skelact.model import (
+    BRANCH_VARIANTS,
     BRANCHES,
-    VARIANT_FLAGS,
     ModelDims,
     build_variant,
     load_checkpoint,
@@ -634,7 +633,7 @@ def test_training_reaches_perfect_accuracy_on_noiseless_data():
     assert accuracy == 100.0
 
 
-@pytest.mark.parametrize("variant,branch", list(itertools.product(VARIANT_FLAGS, BRANCHES)))
+@pytest.mark.parametrize("variant,branch", [(v, b) for b in BRANCHES for v in BRANCH_VARIANTS[b]])
 def test_default_builds_load_and_optimize_on_cache_lines(tmp_path, variant, branch):
     # every tensor of a default build starts at a multiple of 8 elements in its
     # vector, so an aligned payload or `flat` puts each tensor on a cache line
