@@ -1,16 +1,23 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
-Every value is a `Tensor` wrapping a float64 numpy array. Operations record
-the graph on their outputs (parent references plus a backward closure), and
-`backward(loss)` replays the recorded operations in reverse topological
-order, accumulating gradients additively into every tensor that requires
-them. Gradients are never overwritten on fan-out; callers zero them between
+Every value is a `Tensor` wrapping a float64 numpy array and pointing to a
+`Node`, its place in the graph: its gradient, its parents' nodes and a
+backward closure. Tensors that require no gradient share one constant node,
+so a tensor outside any graph costs one pointer. Operations record the
+graph on their outputs' nodes, and `backward(loss)` replays the recorded
+operations in reverse topological order, accumulating gradients additively
+into every node it reaches. The graph links nodes, not tensors, and each
+closure captures only the arrays its backward reads, so an intermediate
+tensor whose data no backward reads is freed as soon as the caller drops
+it. Gradients are never overwritten on fan-out; callers zero them between
 optimizer steps.
 
-Gradients are handed off, not copied: the first gradient a tensor receives
-becomes its `.grad` as given, so it may be the very array another tensor
-holds, or a view of one. That is safe under one rule: no backward closure
-writes into an array after passing it to `_accumulate`, and `.grad` is never
+A closure maps its node's gradient to one gradient per parent, in parent
+order (None where a parent needs none), and `backward` hands each to its
+parent through `_accumulate`. Gradients are handed off, not copied: the
+first gradient a node receives becomes its `.grad` as given, so it may be
+the very array another node holds, or a view of one. That is safe under one
+rule: no closure writes into the gradient it was given, and `.grad` is never
 updated in place (a later gradient rebinds it, `t.grad = t.grad + g`).
 """
 
@@ -38,17 +45,58 @@ def no_grad():
         _grad_enabled = saved
 
 
-class Tensor:
-    """n-dimensional float64 array with an optional gradient slot."""
+class Node:
+    """A tensor's place in the graph: its gradient, its parents' nodes and its backward closure."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "__weakref__")
+    __slots__ = ("grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(self, parents=(), backward_fn=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward_fn
+
+
+# the one node of every tensor that requires no gradient: it never holds one
+_CONSTANT = Node()
+
+
+class Tensor:
+    """n-dimensional float64 array; `grad`, `_parents` and `_backward` are read through its node."""
+
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._backward = None
-        self._parents = ()
+        self.node = Node() if requires_grad else _CONSTANT
+
+    @property
+    def requires_grad(self):
+        return self.node is not _CONSTANT
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        if bool(flag) != self.requires_grad:
+            self.node = Node() if flag else _CONSTANT
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self.node is _CONSTANT:
+            if value is not None:
+                raise ContractError("cannot set the gradient of a tensor that does not require one")
+            return
+        self.node.grad = value
+
+    @property
+    def _parents(self):
+        return self.node._parents
+
+    @property
+    def _backward(self):
+        return self.node._backward
 
     @property
     def shape(self):
@@ -79,23 +127,24 @@ def aligned_empty(shape):
 
 
 def _node(data, parents, backward_fn):
-    """Wrap an op result, attaching graph metadata when recording is on."""
+    """Wrap an op result, giving it a node linked to its parents' nodes when recording is on.
+
+    `backward_fn(g)` returns one gradient per parent, in order.
+    """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    if _grad_enabled and any(p.node is not _CONSTANT for p in parents):
+        out.node = Node(tuple(p.node for p in parents), backward_fn)
     return out
 
 
-def _accumulate(t, g):
-    """Hand gradient `g` to `t`: stored as given first, added by rebinding after."""
-    if not t.requires_grad:
+def _accumulate(node, g):
+    """Hand gradient `g` to `node`: stored as given first, added by rebinding after."""
+    if g is None or node is _CONSTANT:
         return
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64)
+    if node.grad is None:
+        node.grad = np.asarray(g, dtype=np.float64)
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 def backward(loss):
@@ -104,15 +153,17 @@ def backward(loss):
     The recorded graph is walked in reverse topological order so each node's
     output gradient is complete before it propagates to its parents. Each
     node's closure and parent links are dropped once it has run, so the graph
-    is released as the walk proceeds: intermediates only the graph held are
-    freed, while tensors the caller still holds keep their `.grad`.
+    is released as the walk proceeds: the nodes of intermediates only the
+    graph held are freed, while tensors the caller still holds keep their `.grad`.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
 
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -130,7 +181,8 @@ def backward(loss):
     while topo:
         node = topo.pop()
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                _accumulate(parent, g)
         node._backward = None
         node._parents = ()
 
@@ -151,8 +203,7 @@ def add(a, b):
     _check_same_shape(a, b, "add")
 
     def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        return g, g
 
     return _node(a.data + b.data, (a, b), bw)
 
@@ -160,18 +211,21 @@ def add(a, b):
 def mul(a, b):
     _check_same_shape(a, b, "mul")
 
-    def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    a_data, b_data = a.data, b.data
 
-    return _node(a.data * b.data, (a, b), bw)
+    def bw(g):
+        return g * b_data, g * a_data
+
+    return _node(a_data * b_data, (a, b), bw)
 
 
 def relu(x):
-    def bw(g):
-        _accumulate(x, g * (x.data > 0))
+    out = np.maximum(x.data, 0.0)
 
-    return _node(np.maximum(x.data, 0.0), (x,), bw)
+    def bw(g):
+        return (g * (out > 0),)  # out > 0 exactly where x > 0
+
+    return _node(out, (x,), bw)
 
 
 def stable_sigmoid(z):
@@ -183,7 +237,7 @@ def sigmoid(x):
     s = stable_sigmoid(x.data)
 
     def bw(g):
-        _accumulate(x, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return _node(s, (x,), bw)
 
@@ -192,7 +246,7 @@ def tanh(x):
     t = np.tanh(x.data)
 
     def bw(g):
-        _accumulate(x, g * (1.0 - t * t))
+        return (g * (1.0 - t * t),)
 
     return _node(t, (x,), bw)
 
@@ -201,7 +255,7 @@ def scale(x, s):
     s = float(s)
 
     def bw(g):
-        _accumulate(x, g * s)
+        return (g * s,)
 
     return _node(x.data * s, (x,), bw)
 
@@ -216,8 +270,10 @@ def reshape(x, shape):
     except ValueError:
         raise DimensionError(f"reshape: {x.data.shape} does not fit {tuple(shape)}") from None
 
+    shape_in = x.data.shape
+
     def bw(g):
-        _accumulate(x, g.reshape(x.data.shape))
+        return (g.reshape(shape_in),)
 
     return _node(out, (x,), bw)
 
@@ -231,7 +287,7 @@ def transpose(x, axis1=-2, axis2=-1):
             raise DimensionError(f"transpose: axis {axis} out of range for a {x.data.ndim}-d tensor")
 
     def bw(g):
-        _accumulate(x, np.swapaxes(g, axis1, axis2))
+        return (np.swapaxes(g, axis1, axis2),)
 
     return _node(np.swapaxes(x.data, axis1, axis2).copy(), (x,), bw)
 
@@ -257,10 +313,12 @@ def concat(parts, axis=0):
     offsets = np.cumsum([0] + sizes)
 
     def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(idx)])
+            grads.append(g[tuple(idx)])
+        return grads
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
@@ -270,8 +328,10 @@ def concat(parts, axis=0):
 
 
 def sum_all(x):
+    shape_in = x.data.shape
+
     def bw(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
+        return (np.full(shape_in, float(g)),)
 
     return _node(np.asarray(x.data.sum()), (x,), bw)
 
@@ -280,12 +340,13 @@ def global_avg_pool(x):
     """Mean over the time axis (-2) of a [..., T, D] tensor."""
     if x.data.ndim < 2:
         raise DimensionError(f"global_avg_pool expects a 2-d tensor or a batch of them, got {x.data.ndim}-d")
-    t = x.data.shape[-2]
+    shape_in = x.data.shape
+    t = shape_in[-2]
     if t < 1:
         raise DimensionError(f"global_avg_pool: empty time axis (axis {x.data.ndim - 2})")
 
     def bw(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g / t, -2), x.data.shape).copy())
+        return (np.broadcast_to(np.expand_dims(g / t, -2), shape_in).copy(),)
 
     return _node(x.data.mean(axis=-2), (x,), bw)
 
@@ -316,11 +377,12 @@ def matmul(a, b):
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree (lhs {a.data.shape}, rhs {b.data.shape})")
 
-    def bw(g):
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+    a_data, b_data = a.data, b.data
 
-    return _node(a.data @ b.data, (a, b), bw)
+    def bw(g):
+        return g @ np.swapaxes(b_data, -1, -2), np.swapaxes(a_data, -1, -2) @ g
+
+    return _node(a_data @ b_data, (a, b), bw)
 
 
 def dense(x, weight, bias=None):
@@ -342,20 +404,19 @@ def dense(x, weight, bias=None):
             f"dense: bias shape {bias.data.shape} does not match output width {weight.data.shape[1]}"
         )
     x2 = _rows(x.data)
+    shape_in, w_data, x_needs_grad, no_bias = x.data.shape, weight.data, x.requires_grad, bias is None
 
     def bw(g):
         g2 = _rows(g)
-        _accumulate(weight, x2.T @ g2)
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=0))
-        if x.requires_grad:
-            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
+        g_weight = x2.T @ g2
+        g_x = (g2 @ w_data.T).reshape(shape_in) if x_needs_grad else None
+        return (g_x, g_weight) if no_bias else (g_x, g_weight, g2.sum(axis=0))
 
-    out = x2 @ weight.data
+    out = x2 @ w_data
     if bias is not None:
         out += bias.data
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, bw)
+    return _node(out.reshape(shape_in[:-1] + out.shape[-1:]), parents, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +435,7 @@ def softmax(x):
 
     def bw(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        return (s * (g - dot),)
 
     return _node(s, (x,), bw)
 
@@ -407,7 +468,7 @@ def softmax_cross_entropy(logits, labels):
         grad = np.exp(log_probs)
         np.put_along_axis(grad, index, np.take_along_axis(grad, index, axis=-1) - 1.0, axis=-1)
         grad *= float(g) / rows
-        _accumulate(logits, grad)
+        return (grad,)
 
     return _node(np.asarray(loss), (logits,), bw)
 
@@ -427,22 +488,20 @@ def layer_norm(x, gain, shift):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
+    gain_data = gain.data
 
     def bw(g):
-        _accumulate(gain, _rows(g * xhat).sum(axis=0))
-        _accumulate(shift, _rows(g).sum(axis=0))
-        dxhat = g * gain.data
-        _accumulate(
-            x,
-            inv
-            * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            ),
+        g_gain = _rows(g * xhat).sum(axis=0)
+        g_shift = _rows(g).sum(axis=0)
+        dxhat = g * gain_data
+        g_x = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
+        return g_x, g_gain, g_shift
 
-    return _node(xhat * gain.data + shift.data, (x, gain, shift), bw)
+    return _node(xhat * gain_data + shift.data, (x, gain, shift), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +538,9 @@ def conv1d(x, kernel, bias):
         )
     if k == 1:
         return dense(x, reshape(kernel, (c_in, c_out)), bias)
-    lead = x.data.shape[:-2]
-    length = x.data.shape[-2]
+    shape_in, k_data, x_needs_grad = x.data.shape, kernel.data, x.requires_grad
+    lead = shape_in[:-2]
+    length = shape_in[-2]
     rows = _rows(x.data)
 
     # Output position t of tap j reads input position t + j - K//2; each
@@ -492,7 +552,7 @@ def conv1d(x, kernel, bias):
         lo, hi = max(0, -shift), min(length, length - shift)
         if lo < hi:
             spans.append((j, shift, lo, hi))
-    taps = np.matmul(rows, kernel.data).reshape(k, seqs, length, c_out)
+    taps = np.matmul(rows, k_data).reshape(k, seqs, length, c_out)
     out = np.empty((seqs, length, c_out))
     out[...] = bias.data
     for j, shift, lo, hi in spans:
@@ -504,14 +564,15 @@ def conv1d(x, kernel, bias):
         for j, shift, lo, hi in spans:
             shifted[j, :, lo + shift:hi + shift] = g3[:, lo:hi]
         shifted = shifted.reshape(k, seqs * length, c_out)
-        _accumulate(kernel, np.matmul(rows.T, shifted))
-        _accumulate(bias, _rows(g).sum(axis=0))
-        if x.requires_grad:
-            dx = shifted[0] @ kernel.data[0].T
-            term = np.empty_like(dx)
-            for j in range(1, k):
-                dx += np.matmul(shifted[j], kernel.data[j].T, out=term)
-            _accumulate(x, dx.reshape(x.data.shape))
+        g_kernel = np.matmul(rows.T, shifted)
+        g_bias = _rows(g).sum(axis=0)
+        if not x_needs_grad:
+            return None, g_kernel, g_bias
+        dx = shifted[0] @ k_data[0].T
+        term = np.empty_like(dx)
+        for j in range(1, k):
+            dx += np.matmul(shifted[j], k_data[j].T, out=term)
+        return dx.reshape(shape_in), g_kernel, g_bias
 
     return _node(out.reshape(lead + (length, c_out)), (x, kernel, bias), bw)
 

@@ -113,7 +113,10 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
         pose = features = label = None
         if need_pose:
             raw = load_skeleton_file(path)
-            pose, label = preprocess_skeleton(raw), raw.label
+            try:
+                pose, label = preprocess_skeleton(raw), raw.label
+            except ContractError as err:
+                raise ContractError(f"{path}: {err}") from None
             if joints_eff is None:
                 joints_eff = pose.shape[1]
             elif pose.shape[1] != joints_eff:

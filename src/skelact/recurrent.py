@@ -2,10 +2,12 @@
 
 lstm_forward is a single fused graph node: the whole recurrence runs in
 numpy and the backward closure replays it in reverse (backpropagation
-through time). This keeps the graph small enough that training stays fast
-without changing any semantics. Both loops write every step into arrays
-allocated once per call, each starting a cache line, and walk precomputed
-per-step views of them, so a step costs a few ufunc calls and one matmul.
+through time), from its own time-major copy of the input and the per-step
+buffers rather than from the input tensor. This keeps the graph small
+enough that training stays fast without changing any semantics. Both
+loops write every step into arrays allocated once per call, each starting a
+cache line, and walk precomputed per-step views of them, so a step costs a
+few ufunc calls and one matmul.
 `bilstm`'s reversed direction runs inside the node too (`reverse=True`).
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _accumulate, _node
+from .autodiff import _node
 from .errors import DimensionError
 
 
@@ -66,7 +68,8 @@ def lstm_forward(seq, params, reverse=False):
     if params.w_h.data.shape != (h, 4 * h) or params.bias.data.shape != (4 * h,):
         raise DimensionError("lstm_forward: recurrent weight or bias shape inconsistent with hidden size")
 
-    w_x, w_h, bias = params.w_x, params.w_h, params.bias
+    w_x, w_h, bias = params.w_x.data, params.w_h.data, params.bias.data
+    shape_in, seq_needs_grad = seq.data.shape, seq.requires_grad
     # time-major [T, B, *] in step order, so each step reads and writes contiguous rows
     order = slice(None, None, -1 if reverse else 1)
     steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(math.prod(lead), t_len, d), 0, 1)[order])
@@ -85,11 +88,11 @@ def lstm_forward(seq, params, reverse=False):
     # Every per-call buffer starts a cache line; at the default sizes (H = 128)
     # so does each step's row, and the recurrent matmul runs faster for it.
     zx = ad.aligned_empty((t_len, batch, 4 * h))
-    np.matmul(step_rows, w_x.data, out=zx.reshape(t_len * batch, 4 * h))
-    zx += bias.data
+    np.matmul(step_rows, w_x, out=zx.reshape(t_len * batch, 4 * h))
+    zx += bias
     zx *= gate_scale
     w_h_half = ad.aligned_empty((h, 4 * h))
-    np.multiply(w_h.data, gate_scale, out=w_h_half)
+    np.multiply(w_h, gate_scale, out=w_h_half)
     gates = ad.aligned_empty((t_len, batch, 4 * h))  # activated input, forget, cell, output
     cells = ad.aligned_empty((t_len + 1, batch, h))  # row 0 is the zero initial state
     hidden = ad.aligned_empty((t_len + 1, batch, h))
@@ -142,7 +145,7 @@ def lstm_forward(seq, params, reverse=False):
         dh_next[...] = 0.0
         dc_next[...] = 0.0
         dc_ifg = dc[:, None, :]
-        w_h_t = w_h.data.T
+        w_h_t = w_h.T
         back = slice(None, None, -1)  # the steps last to first, each on its own row views
         for dz, dz_o, dz_ifg, g_t, dc_dh, f in zip(
                 dz_all.reshape(t_len, batch, 4 * h)[back], to_o[back], dz_all[back, :, :3],
@@ -155,15 +158,17 @@ def lstm_forward(seq, params, reverse=False):
             np.matmul(dz, w_h_t, dh_next)
             np.multiply(dc, f, dc_next)
         dz_rows = dz_all.reshape(t_len * batch, 4 * h)
-        _accumulate(w_x, step_rows.T @ dz_rows)
-        _accumulate(w_h, hidden[:t_len].reshape(t_len * batch, h).T @ dz_rows)
-        _accumulate(bias, dz_rows.sum(axis=0))
-        if seq.requires_grad:
-            d_steps = (dz_rows @ w_x.data.T).reshape(t_len, batch, d)
-            _accumulate(seq, np.swapaxes(d_steps[order], 0, 1).reshape(seq.data.shape))
+        g_w_x = step_rows.T @ dz_rows
+        g_w_h = hidden[:t_len].reshape(t_len * batch, h).T @ dz_rows
+        g_bias = dz_rows.sum(axis=0)
+        g_seq = None
+        if seq_needs_grad:
+            d_steps = (dz_rows @ w_x.T).reshape(t_len, batch, d)
+            g_seq = np.swapaxes(d_steps[order], 0, 1).reshape(shape_in)
+        return g_seq, g_w_x, g_w_h, g_bias
 
-    out = np.swapaxes(hidden[1:][order], 0, 1).reshape(seq.data.shape[:-1] + (h,))
-    return _node(out, (seq, w_x, w_h, bias), bw)
+    out = np.swapaxes(hidden[1:][order], 0, 1).reshape(shape_in[:-1] + (h,))
+    return _node(out, (seq, params.w_x, params.w_h, params.bias), bw)
 
 
 def bilstm(seq, fwd, bwd):

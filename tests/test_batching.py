@@ -1,6 +1,7 @@
 """Leading batch axes: a batch must compute exactly what its items compute alone,
 and backward must release the graph it walks."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skelact.autodiff as ad
-from skelact import recurrent
+from skelact import streams
 from skelact.data import COORDS
 from skelact.model import ModelDims, build_variant, forward, variant_config
 from skelact.recurrent import init_lstm_params, lstm_forward
@@ -26,11 +27,12 @@ def test_backward_frees_intermediates_and_keeps_held_grads():
     w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     held = ad.matmul(x, w)
     inner = ad.tanh(held)
-    only_in_graph = weakref.ref(inner)
+    tensor_ref, only_in_graph = weakref.ref(inner), weakref.ref(inner.node)
     probe = rng.normal(size=(3, 2))
     loss = ad.sum_all(ad.mul(inner, ad.Tensor(probe)))
     del inner
-    assert only_in_graph() is not None  # the graph still holds it
+    assert tensor_ref() is None  # the graph links nodes, not tensors
+    assert only_in_graph() is not None  # the graph still holds the node
 
     ad.backward(loss)
     assert only_in_graph() is None
@@ -39,6 +41,39 @@ def test_backward_frees_intermediates_and_keeps_held_grads():
     expected = probe * (1.0 - np.tanh(held.data) ** 2)
     np.testing.assert_allclose(held.grad, expected, rtol=1e-12)
     np.testing.assert_allclose(w.grad, x.data.T @ expected, rtol=1e-12)
+
+
+def test_forward_keeps_alive_only_what_backward_reads(monkeypatch):
+    """Until backward, a batch-4 `full` pose step holds the arrays its closures
+    read, not every intermediate: pre-softmax scores and SEU pre-activations go."""
+    dims = ModelDims()
+    params = build_variant(variant_config("full"), dims, seed=0)
+    rng = np.random.default_rng(0)
+    pose = ad.Tensor(rng.normal(size=(4, dims.frames, dims.joints, COORDS)))
+    labels = rng.integers(0, dims.num_classes, size=4)
+    inputs = []
+
+    def recording(name, op):
+        def wrapped(x):
+            inputs.append((name, weakref.ref(x)))
+            return op(x)
+        return wrapped
+
+    monkeypatch.setattr(ad, "softmax", recording("softmax", ad.softmax))
+    monkeypatch.setitem(streams._ACTIVATIONS, "relu", recording("relu", ad.relu))
+    tracemalloc.start()
+    try:
+        loss = cross_entropy(forward(params, pose=pose, logits=True), labels)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+    assert {name for name, _ in inputs} == {"softmax", "relu"}
+    for name, ref in inputs:
+        assert ref() is None, f"the input of a {name} outlives the forward"
+    assert held < 13 * 2**20, f"the forward leaves {held / 2**20:.1f} MiB for backward"
+    ad.backward(loss)
+    assert all(t.grad is not None for t in params.tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +154,7 @@ def test_backward_never_writes_a_handed_off_gradient(branch, monkeypatch):
         handed.append((g, np.array(g, copy=True)))
         accumulate(t, g)
 
-    # recurrent binds the name at import, so it is wrapped there as well
     monkeypatch.setattr(ad, "_accumulate", recording)
-    monkeypatch.setattr(recurrent, "_accumulate", recording)
     dims = small_dims()
     params = build_variant(variant_config("full", branch=branch), dims, seed=8)
     pose, features = clip_inputs(dims, branch, np.random.default_rng(9), 3)

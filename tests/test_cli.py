@@ -9,6 +9,7 @@ import pytest
 
 from skelact import cli, verify
 from skelact.cli import load_dataset_dir, main
+from skelact.data import load_skeleton_file, write_skeleton_file
 from skelact.errors import ContractError
 from skelact.model import (
     BRANCH_VARIANTS,
@@ -240,6 +241,21 @@ def test_clip_whose_skeleton_and_feature_labels_disagree_is_rejected(workspace, 
     # a run that reads one of the two files has no second label to disagree with
     assert load_dataset_dir(data, True, False)[0][0].label == 0
     assert load_dataset_dir(data, False, True)[0][0].label == 1
+
+
+def test_train_names_the_file_of_a_degenerate_skeleton(workspace, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in sorted((workspace / "data").glob("*.skl"))[:3]:
+        shutil.copy(path, data / path.name)
+    bad = sorted(data.glob("*.skl"))[1]
+    raw = load_skeleton_file(bad)
+    raw.positions[...] = raw.positions[:, :, raw.spine_index:raw.spine_index + 1]  # every joint on the spine
+    write_skeleton_file(bad, raw)
+    result = run_cli("train", "--data", str(data), "--variant", "baseline", "--out", str(tmp_path / "x.ckpt"))
+    assert result.returncode == 1
+    assert f"error: {bad}: degenerate skeleton" in result.stderr, result.stderr
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

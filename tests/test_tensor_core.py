@@ -217,7 +217,7 @@ def test_dense_without_bias_is_a_two_parent_product():
     x, w = ad.Tensor(rng.normal(size=(2, 3, 4))), ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     out = ad.dense(x, w)
     np.testing.assert_array_equal(out.data, x.data @ w.data)
-    assert out._parents == (x, w)
+    assert out._parents == (x.node, w.node)
     ad.backward(ad.sum_all(out))
     assert x.grad is None  # nothing needs the input's gradient, so it is not computed
     np.testing.assert_allclose(w.grad, x.data.reshape(6, 4).T @ np.ones((6, 2)), rtol=1e-12)
