@@ -10,7 +10,10 @@ into every node it reaches. The graph links nodes, not tensors, and each
 closure captures only the arrays its backward reads, so an intermediate
 tensor whose data no backward reads is freed as soon as the caller drops
 it. Gradients are never overwritten on fan-out; callers zero them between
-optimizer steps.
+optimizer steps, or hand `backward` an `on_leaf` hook that consumes each
+leaf's gradient as soon as it is complete. An op whose result will not be
+recorded (`records`: grad mode off, or no parent needing a gradient) keeps
+nothing that only a backward reads.
 
 A closure maps its node's gradient to one gradient per parent, in parent
 order (None where a parent needs none), and `backward` hands each to its
@@ -126,13 +129,21 @@ def aligned_empty(shape):
     return raw[skip:][:count].reshape(shape)  # two slices: an empty raw[skip:skip] points at raw's start
 
 
+def records(parents):
+    """Whether an op over `parents` will be recorded: grad mode is on and some parent needs a gradient.
+
+    An op whose result will not be recorded need keep nothing that only its backward reads.
+    """
+    return _grad_enabled and any(p.node is not _CONSTANT for p in parents)
+
+
 def _node(data, parents, backward_fn):
-    """Wrap an op result, giving it a node linked to its parents' nodes when recording is on.
+    """Wrap an op result, giving it a node linked to its parents' nodes when it is recorded.
 
     `backward_fn(g)` returns one gradient per parent, in order.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.node is not _CONSTANT for p in parents):
+    if records(parents):
         out.node = Node(tuple(p.node for p in parents), backward_fn)
     return out
 
@@ -147,7 +158,7 @@ def _accumulate(node, g):
         node.grad = node.grad + g
 
 
-def backward(loss):
+def backward(loss, on_leaf=None):
     """Populate grads of every requires_grad tensor reachable from `loss`.
 
     The recorded graph is walked in reverse topological order so each node's
@@ -155,6 +166,12 @@ def backward(loss):
     node's closure and parent links are dropped once it has run, so the graph
     is released as the walk proceeds: the nodes of intermediates only the
     graph held are freed, while tensors the caller still holds keep their `.grad`.
+
+    A leaf's gradient is complete when the walk pops it, so `on_leaf(node)`,
+    when given, is called there for each leaf that holds a gradient. An
+    optimizer can update the leaf's tensor from it and drop it, so that the
+    gradients of a step never all exist at once (as LOMO, Lv et al. 2023,
+    fuses the update into the backward pass).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -180,9 +197,12 @@ def backward(loss):
     loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._backward is not None and node.grad is not None:
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                _accumulate(parent, g)
+        if node.grad is not None:
+            if node._backward is not None:
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    _accumulate(parent, g)
+            elif on_leaf is not None:
+                on_leaf(node)
         node._backward = None
         node._parents = ()
 
@@ -429,9 +449,10 @@ def softmax(x):
         raise DimensionError("softmax expects a 1-d tensor or a batch of them, got 0-d")
     if x.data.shape[-1] == 0:
         raise DimensionError(f"softmax: empty axis {x.data.ndim - 1}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # one array throughout: the shifted logits, their exponentials, then the quotient
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bw(g):
         dot = (g * s).sum(axis=-1, keepdims=True)

@@ -40,36 +40,46 @@ SPEC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
 # config files
 
 
-def _coerce(value):
+def _coerce(value, where):
+    """A number, a bool (true/false) or else the string itself. int() and float()
+    accept '_' digit separators, so epochs=1_0 would read as 10: such a value is
+    refused, with `where` naming the file, line and key."""
     for cast in (int, float):
         try:
-            return cast(value)
+            number = cast(value)
         except ValueError:
-            pass
+            continue
+        if "_" in value:
+            raise ContractError(f"{where}: {value!r} is not a plain number ('_' separators are not accepted)")
+        return number
     if value.lower() in ("true", "false"):
         return value.lower() == "true"
     return value
 
 
 def parse_kv_file(path):
-    """Flat key=value text; '#' starts a comment, blank lines are skipped, a key may appear once."""
+    """Flat UTF-8 key=value text; '#' starts a comment, blank lines are skipped, a key may appear once."""
     pairs = {}
     first_line = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in first_line:
-                raise ContractError(
-                    f"{path}:{lineno}: key {key!r} repeats the one on line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            pairs[key] = _coerce(value.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ContractError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in first_line:
+            raise ContractError(
+                f"{path}:{lineno}: key {key!r} repeats the one on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        pairs[key] = _coerce(value.strip(), f"{path}:{lineno}: key {key!r}")
     return pairs
 
 

@@ -7,7 +7,10 @@ buffers rather than from the input tensor. This keeps the graph small
 enough that training stays fast without changing any semantics. Both
 loops write every step into arrays allocated once per call, each starting a
 cache line, and walk precomputed per-step views of them, so a step costs a
-few ufunc calls and one matmul.
+few ufunc calls and one matmul. A call that will not be recorded (under
+`no_grad`, or with no operand needing a gradient) keeps no per-step buffer
+its backward alone would read: its steps reuse one row of gates and of
+tanh(cell) and two rows of cells, with the same operations and bits.
 `bilstm`'s reversed direction runs inside the node too (`reverse=True`).
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -93,16 +97,23 @@ def lstm_forward(seq, params, reverse=False):
     zx *= gate_scale
     w_h_half = ad.aligned_empty((h, 4 * h))
     np.multiply(w_h, gate_scale, out=w_h_half)
-    gates = ad.aligned_empty((t_len, batch, 4 * h))  # activated input, forget, cell, output
-    cells = ad.aligned_empty((t_len + 1, batch, h))  # row 0 is the zero initial state
+    # The backward reads every step's gates, cell and tanh(cell). A call that will
+    # not be recorded keeps one row of gates and of tanh(cell), reused by every
+    # step, and two rows of cells: step k reads row k % 2 and writes the other.
+    parents = (seq, params.w_x, params.w_h, params.bias)
+    rows = t_len if ad.records(parents) else 1
+    gates = ad.aligned_empty((rows, batch, 4 * h))  # activated input, forget, cell, output
+    cells = ad.aligned_empty((rows + 1, batch, h))  # row 0 is the zero initial state
     hidden = ad.aligned_empty((t_len + 1, batch, h))
     cells[0] = 0.0
     hidden[0] = 0.0
-    tanh_c = ad.aligned_empty((t_len, batch, h))
-    blocks = gates.reshape(t_len, batch, 4, h)
-    # each step walks its own row views, so the loop body does no indexing
+    tanh_c = ad.aligned_empty((rows, batch, h))
+    blocks = gates.reshape(rows, batch, 4, h)
+    # each step walks its own row views, so the loop body does no indexing;
+    # `cycle` repeats the rows of a buffer that has fewer than one per step
     for a, z, i, f, g, o, c_prev, c, tc, h_prev, h_next in zip(
-            gates, zx, *(blocks[:, :, k] for k in range(4)), cells, cells[1:], tanh_c, hidden, hidden[1:]):
+            cycle(gates), zx, *(cycle(blocks[:, :, k]) for k in range(4)), cycle(cells),
+            islice(cycle(cells), 1, None), cycle(tanh_c), hidden, hidden[1:]):
         np.matmul(h_prev, w_h_half, a)
         np.add(a, z, a)
         np.tanh(a, a)
@@ -168,7 +179,7 @@ def lstm_forward(seq, params, reverse=False):
         return g_seq, g_w_x, g_w_h, g_bias
 
     out = np.swapaxes(hidden[1:][order], 0, 1).reshape(shape_in[:-1] + (h,))
-    return _node(out, (seq, params.w_x, params.w_h, params.bias), bw)
+    return _node(out, parents, bw)
 
 
 def bilstm(seq, fwd, bwd):

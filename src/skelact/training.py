@@ -3,10 +3,14 @@
 The learning rate follows inverse-time decay, lr/(1 + decay*step), with
 `step` counting completed optimizer steps. L2 regularization enters through
 the gradient (g + lambda*p) for both optimizers; `Sgd` and `Adam` share one
-constructor and one walk over CHUNK-sized blocks and differ only in the
-per-block update. The parameters live in one vector (each tensor's data a view
-of its slice), and so do Adam's moments; gradients stay per tensor, each walked
-where backward left it. `OPTIMIZERS` maps a config's optimizer name to its class.
+constructor and one per-tensor walk over CHUNK-sized blocks and differ only in
+the per-block update. The parameters live in one vector (each tensor's data a
+view of its slice), and so do Adam's moments; gradients stay per tensor, each
+walked where backward left it. `train` fuses each step into backward: a
+tensor is updated as soon as its gradient is complete, and the gradient is
+dropped at once (as LOMO, Lv et al. 2023, does), with the same bits
+as a whole `step()` after backward. `OPTIMIZERS` maps a config's optimizer
+name to its class.
 The validation pass of `train` and `evaluate` are one no-grad scorer,
 `_score`, which runs EVAL_CHUNK clips per forward over clips its callers checked.
 """
@@ -17,6 +21,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,10 +78,15 @@ CHUNK = 32768
 
 class _Optimizer:
     """L2 and inverse-time lr decay around a per-block update. The tensors' data is
-    copied into one vector `flat` and each `t.data` bound to its slice; `step()`
-    walks each `t.grad` in CHUNK-sized blocks, updating the slices of `flat` and of
-    the state vectors named in `state` (zeros at construction) in place. Every
-    vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`)."""
+    copied into one vector `flat` and each `t.data` bound to its slice; a tensor's
+    update walks its gradient in CHUNK-sized blocks, updating the slices of `flat`
+    and of the state vectors named in `state` (zeros at construction) in place.
+    Every vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`).
+
+    A step runs whole in `step()`, over every `t.grad`, or fused into backward:
+    `open_step()`, then `backward(loss, on_leaf=optimizer.on_leaf)`, which updates
+    each tensor as soon as its gradient is complete and drops that gradient, then
+    `step()`, which closes the step. Both give the same bits."""
 
     default_lr = None
     state = ()
@@ -94,23 +104,48 @@ class _Optimizer:
             vector = ad.aligned_empty(self.flat.size)
             vector.fill(0.0)
             setattr(self, name, vector)
+        self._vectors = [self.flat, *(getattr(self, name) for name in self.state)]
         self._scratch = (ad.aligned_empty(CHUNK), ad.aligned_empty(CHUNK))
+        self._offsets = list(accumulate((t.size for t in self.tensors[:-1]), initial=0))
+        self._offset_of = {t.node: offset for t, offset in zip(self.tensors, self._offsets)}
+        self._lr_t = None
+        self._pending = None  # tensors an open step has yet to update; None when no step is open
+
+    def open_step(self):
+        """Begin a step: fix its learning rate and count it, before its first update."""
+        self._lr_t = self.lr / (1.0 + self.decay * self.steps)
+        self.steps += 1
+        self._pending = len(self.tensors)
+
+    def on_leaf(self, node):
+        """`backward`'s leaf hook inside an open step: update the tensor of `node`
+        from its complete gradient, then drop the gradient."""
+        offset = self._offset_of.get(node)
+        if offset is not None:
+            self._apply(offset, node.grad)
+            node.grad = None
+            self._pending -= 1
 
     def step(self):
-        kind = type(self).__name__.lower()
-        lr_t = self.lr / (1.0 + self.decay * self.steps)
-        self.steps += 1
-        vectors = [self.flat, *(getattr(self, name) for name in self.state)]
-        offset = 0
-        for t in self.tensors:
-            if t.grad is None:
-                raise ContractError(f"{kind} step with an unpopulated gradient")
-            grad = t.grad.reshape(-1)
-            for start in range(0, t.size, CHUNK):
-                block = slice(offset + start, offset + min(start + CHUNK, t.size))
-                p, *state = (vec[block] for vec in vectors)
-                self._update(lr_t, p, grad[start:start + CHUNK], *state, *(b[:p.size] for b in self._scratch))
-            offset += t.size
+        """Close the open step, or, when none is open, run a whole one over every `t.grad`."""
+        if self._pending is None:
+            self.open_step()
+            for t, offset in zip(self.tensors, self._offsets):
+                if t.grad is None:
+                    break
+                self._apply(offset, t.grad)
+                self._pending -= 1
+        pending, self._pending = self._pending, None
+        if pending:
+            raise ContractError(f"{type(self).__name__.lower()} step with an unpopulated gradient")
+
+    def _apply(self, offset, grad):
+        """Update the tensor at `offset` of `flat`, and its state, from `grad`."""
+        grad = grad.reshape(-1)
+        for start in range(0, grad.size, CHUNK):
+            block = slice(offset + start, offset + min(start + CHUNK, grad.size))
+            p, *state = (vec[block] for vec in self._vectors)
+            self._update(self._lr_t, p, grad[start:start + CHUNK], *state, *(b[:p.size] for b in self._scratch))
 
 
 class Sgd(_Optimizer):
@@ -226,9 +261,9 @@ def _non_finite_message(params, loss_value, epoch, step, global_step):
     """Where a non-finite training loss arose: the epoch, the step and the first
     parameter group, in `named_parameters()` order, whose data or grad is
     non-finite; else, when the forward pass overflowed, the group largest in
-    magnitude. The grads are the previous step's of the same epoch: `train`
-    drops each epoch's last gradients, so on an epoch's first step only a grad
-    the caller left on a tensor remains."""
+    magnitude. `train`'s steps drop every gradient they compute, so the only
+    grad that can be named is one the caller left on a tensor before the
+    first step."""
     named = list(params.named_parameters())
     for name, t in named:
         bad = [part for part, value in (("data", t.data), ("grad", t.grad))
@@ -253,8 +288,9 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     ckpt_path + '.best.partial', which the end renames onto '.best'; no copy
     is held in memory. A batch loss that is not finite raises ContractError;
     a run that raises writes no final checkpoint and removes the partial
-    file. Each epoch's last gradients are dropped before its validation
-    pass, so train() returns with every `.grad` None.
+    file. Each step's update runs inside its backward and drops each gradient
+    once applied, so validation runs, and train() returns, with every `.grad`
+    None.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -292,16 +328,15 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
                     )
                 epoch_loss += loss_value * len(batch)
                 epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
-                # The previous step's gradients are cleared only now: the report
-                # above can name them, and this step's backward reuses their freed
-                # memory (clearing them before the forward measured 5x the page
-                # faults per step, the memory going back to the OS and returning).
+                # A gradient the caller left is cleared only now, so that the report
+                # above can name it. The step runs inside backward: each tensor is
+                # updated as soon as its gradient is complete, and the gradient is
+                # dropped, so no step's gradients all exist at once and none outlives
+                # its step. step() closes it, raising if a tensor went without.
                 params.zero_grads()
-                ad.backward(loss)
+                optimizer.open_step()
+                ad.backward(loss, on_leaf=optimizer.on_leaf)
                 optimizer.step()
-            # the epoch's last gradients are spent: the validation pass, where
-            # the peak memory arrives, runs without them
-            params.zero_grads()
             emit(epoch, "train", epoch_loss / len(epoch_order), 100.0 * epoch_correct / len(epoch_order))
             if len(val_idx):
                 loss_sum, confusion = _score(params, dataset, val_idx)

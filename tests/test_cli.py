@@ -310,6 +310,47 @@ def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("setting", ["epochs=1_0", "lr=1_0.5", "batch_size=0_4"])
+def test_digit_separated_number_in_config_rejected(workspace, tmp_path, setting):
+    # int() and float() accept '_' separators: epochs=1_0 would silently read as 10
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"optimizer=adam\n{setting}\n")
+    ckpt = tmp_path / "x.ckpt"
+    result = run_cli(
+        "train", "--data", str(workspace / "data"), "--variant", "baseline",
+        "--config", str(bad), "--out", str(ckpt),
+    )
+    key, value = setting.split("=")
+    assert result.returncode == 1
+    assert f"{bad}:2: key '{key}': '{value}' is not a plain number" in result.stderr
+    assert result.stdout == ""
+    assert not ckpt.exists()
+
+
+def test_underscores_in_a_non_numeric_value_stay_a_string(tmp_path):
+    path = tmp_path / "kv.cfg"
+    path.write_text("name=a_b\ncount=12\nrate=2.5e-3\n")
+    assert cli.parse_kv_file(path) == {"name": "a_b", "count": 12, "rate": 2.5e-3}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--spec"])
+def test_non_utf8_settings_file_is_named(workspace, tmp_path, flag):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("seed=0\n# r\u00e9glage\n".encode("latin-1"))
+    with pytest.raises(ContractError, match=rf"^{bad}: not UTF-8 text \(byte 10: "):
+        cli.parse_kv_file(bad)
+    out = tmp_path / "out"
+    if flag == "--config":
+        argv = ("train", "--data", str(workspace / "data"), "--variant", "baseline",
+                "--config", str(bad), "--out", str(out))
+    else:
+        argv = ("gen-data", "--spec", str(bad), "--out", str(out))
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert f"error: {bad}: not UTF-8 text" in result.stderr
+    assert not out.exists()
+
+
 def test_non_finite_loss_exits_1_without_checkpoint(tmp_path):
     data = tmp_path / "data"
     assert run_cli("gen-data", "--out", str(data), "--seed", "0").returncode == 0

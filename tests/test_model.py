@@ -92,6 +92,19 @@ def test_forward_probability_vector():
     np.testing.assert_array_equal(ad.softmax(logits).data, probs.data)
 
 
+def test_no_grad_forward_of_the_full_model_gives_the_grad_mode_bits():
+    # the validation pass's 16 clips per forward, through attention's softmax and the BiLSTM
+    dims = ModelDims()
+    params = build_variant(variant_config("full"), dims, seed=0)
+    pose = np.random.default_rng(3).normal(size=(16, dims.frames, dims.joints, COORDS))
+    recorded = forward(params, pose=ad.Tensor(pose), logits=True)
+    assert recorded.requires_grad
+    with ad.no_grad():
+        plain = forward(params, pose=ad.Tensor(pose), logits=True)
+    assert not plain.requires_grad
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
 def test_late_fuse_time_axis_shapes():
     dims = tiny_dims()
     params = build_variant(variant_config("baseline", branch="both"), dims, seed=4)

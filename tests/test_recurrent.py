@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,3 +426,50 @@ def test_bilstm_bits_do_not_depend_on_parameter_alignment(lead):
     for offset in (8, 16, 48):
         for got, want in zip(bilstm_bits(values, offset, seq_data, upstream, h), aligned, strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# a forward that will not be recorded keeps no backward buffers
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("lead", [(), (1,), (16,)])
+def test_no_grad_forward_gives_the_grad_mode_bits(lead, reverse):
+    rng = np.random.default_rng(21)
+    params = make_params(rng, 6, 5)
+    params.bias.data = rng.normal(size=20)
+    seq_data = rng.normal(size=lead + (13, 6))
+    recorded = lstm_forward(ad.Tensor(seq_data, requires_grad=True), params, reverse=reverse)
+    assert recorded.requires_grad
+    with ad.no_grad():
+        plain = lstm_forward(ad.Tensor(seq_data, requires_grad=True), params, reverse=reverse)
+    assert not plain.requires_grad
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while `fn()` runs, above what was traced before it; fn's result is kept."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak
+
+
+def test_no_grad_bilstm_peaks_below_grad_mode_by_the_gate_buffer():
+    # the default clip length, at the validation pass's 16 clips per forward
+    t_len, batch, d, h = 84, 16, 16, 32
+    rng = np.random.default_rng(22)
+    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    seq_data = rng.normal(size=(batch, t_len, d))
+    recorded = traced_peak(lambda: bilstm(ad.Tensor(seq_data, requires_grad=True), fwd, bwd))
+    with ad.no_grad():
+        plain = traced_peak(lambda: bilstm(ad.Tensor(seq_data, requires_grad=True), fwd, bwd))
+    # grad mode holds both directions' [T, B, 4H] gates for backward; no_grad never
+    # holds one whole
+    assert recorded - plain >= 2 * t_len * batch * 4 * h * 8, (recorded, plain)

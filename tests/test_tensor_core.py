@@ -287,6 +287,22 @@ def test_softmax_large_values_stable():
     np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 84, 84)])
+def test_softmax_bits_match_the_three_array_form_in_either_mode(shape):
+    # shifted logits, their exponentials and the quotient in separate arrays, frozen
+    x = np.random.default_rng(17).normal(size=shape) * 4.0
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=-1, keepdims=True)
+    recorded = ad.softmax(ad.Tensor(x, requires_grad=True))
+    assert recorded.requires_grad
+    with ad.no_grad():
+        plain = ad.softmax(ad.Tensor(x, requires_grad=True))
+    assert not plain.requires_grad
+    np.testing.assert_array_equal(recorded.data, want)
+    np.testing.assert_array_equal(plain.data, want)
+
+
 def test_softmax_cross_entropy_is_mean_negative_log_softmax():
     rng = np.random.default_rng(21)
     logits = ad.Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
@@ -501,6 +517,37 @@ def test_grad_accumulates_across_backward_calls():
     x.grad = None
     ad.backward(ad.sum_all(x))
     np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_backward_hands_each_complete_leaf_gradient_to_on_leaf_once():
+    # x feeds three consumers; w one; c needs no gradient and is never handed over
+    rng = np.random.default_rng(5)
+    x, w = (ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
+    c = ad.Tensor(rng.normal(size=(2, 3)))
+
+    def loss():
+        return ad.sum_all(ad.add(ad.mul(ad.relu(x), ad.tanh(x)), ad.mul(ad.mul(x, w), c)))
+
+    ad.backward(loss())
+    want = {id(x.node): x.grad, id(w.node): w.grad}
+    x.grad = w.grad = None
+    seen = []
+
+    def on_leaf(node):
+        seen.append(id(node))
+        np.testing.assert_array_equal(node.grad, want[id(node)])
+        node.grad = None
+
+    ad.backward(loss(), on_leaf=on_leaf)
+    assert sorted(seen) == sorted(want)
+    assert x.grad is None and w.grad is None
+
+
+def test_records_needs_grad_mode_and_a_parent_that_needs_a_gradient():
+    const, leaf = ad.Tensor(np.ones(2)), ad.Tensor(np.ones(2), requires_grad=True)
+    assert ad.records((const, leaf)) and not ad.records((const, const))
+    with ad.no_grad():
+        assert not ad.records((const, leaf))
 
 
 def test_no_grad_suppresses_graph():

@@ -284,6 +284,67 @@ def test_in_place_step_updates_any_data_layout(kind, layout):
     np.testing.assert_array_equal(t.data, expect)
 
 
+# ---------------------------------------------------------------------------
+# the step fused into backward
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_fused_step_equals_backward_then_step(kind):
+    dataset = tiny_dataset()
+    config = TrainConfig(optimizer=kind, lr=0.05, l2_lambda=1e-3, lr_decay=0.1)
+    plain_params, fused_params = tiny_model(), tiny_model()
+    plain, fused = make_optimizer(plain_params, config), make_optimizer(fused_params, config)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        batch = rng.permutation(len(dataset))[:4]
+        loss = cross_entropy(*_batch_forward(plain_params, dataset, batch))
+        ad.backward(loss)
+        plain.step()
+        plain_params.zero_grads()
+
+        loss = cross_entropy(*_batch_forward(fused_params, dataset, batch))
+        fused.open_step()
+        ad.backward(loss, on_leaf=fused.on_leaf)
+        assert all(t.grad is None for t in fused_params.tensors())  # each dropped once applied
+        fused.step()
+        assert all(t.grad is None for t in fused_params.tensors())
+    assert fused.steps == plain.steps == 5
+    np.testing.assert_array_equal(fused.flat, plain.flat)
+    for name in fused.state:
+        np.testing.assert_array_equal(getattr(fused, name), getattr(plain, name))
+
+
+@pytest.mark.parametrize("cls", [Adam, Sgd])
+def test_parameter_the_loss_does_not_reach_raises_unpopulated(cls):
+    reached, unreached = param_tensor([1.0, 2.0]), param_tensor([3.0])
+    opt = cls([reached, unreached])
+    opt.open_step()
+    ad.backward(ad.sum_all(ad.mul(reached, reached)), on_leaf=opt.on_leaf)
+    with pytest.raises(ContractError, match=f"^{cls.__name__.lower()} step with an unpopulated gradient$"):
+        opt.step()
+    # the plain walk refuses the same tensor alike, and either way the step is closed
+    reached.grad = np.ones(2)
+    with pytest.raises(ContractError, match=f"^{cls.__name__.lower()} step with an unpopulated gradient$"):
+        opt.step()
+    assert opt.steps == 2
+
+
+def test_train_calls_adam_step_once_per_step_after_backward(monkeypatch):
+    # the benchmark times a training step from one Adam.step return to the next
+    step = Adam.step
+    calls = []
+
+    def counted(optimizer):
+        calls.append([t.grad for t in optimizer.tensors])
+        step(optimizer)
+
+    monkeypatch.setattr(Adam, "step", counted)
+    dataset = tiny_dataset(per_class=5)  # 10 clips: 2 held out, 8 trained on in batches of 4
+    train(dataset, tiny_model(), TrainConfig(optimizer="adam", batch_size=4, epochs=3, seed=0))
+    assert len(calls) == 3 * 2
+    assert all(grad is None for grads in calls for grad in grads)  # consumed inside backward
+
+
 def test_make_optimizer_resolves_defaults():
     params = tiny_model("baseline")
     adam = make_optimizer(params, TrainConfig(optimizer="adam"))
@@ -514,7 +575,7 @@ def test_non_finite_parameter_stops_training_and_names_it(tmp_path):
     with pytest.raises(ContractError, match=rf"at epoch 1, step 1 \(global step 1\); "
                                             rf"first non-finite parameter group: {name} \(data\)$"):
         train(dataset, params, TrainConfig(epochs=2, seed=0), ckpt_path=path)
-    # a gradient left by the previous step counts too, in named_parameters() order
+    # a gradient the caller left on a tensor counts too, in named_parameters() order
     earlier, held = named[1]
     held.grad = np.full(held.data.shape, np.inf)
     with pytest.raises(ContractError, match=rf"first non-finite parameter group: {earlier} \(grad\)$"):
