@@ -2,18 +2,21 @@
 
 Every value is a `Tensor` wrapping a float64 numpy array and pointing to a
 `Node`, its place in the graph: its gradient, its parents' nodes and a
-backward closure. Tensors that require no gradient share one constant node,
-so a tensor outside any graph costs one pointer. Operations record the
-graph on their outputs' nodes, and `backward(loss)` replays the recorded
-operations in reverse topological order, accumulating gradients additively
-into every node it reaches. The graph links nodes, not tensors, and each
-closure captures only the arrays its backward reads, so an intermediate
-tensor whose data no backward reads is freed as soon as the caller drops
-it. Gradients are never overwritten on fan-out; callers zero them between
-optimizer steps, or hand `backward` an `on_leaf` hook that consumes each
-leaf's gradient as soon as it is complete. An op whose result will not be
-recorded (`records`: grad mode off, or no parent needing a gradient) keeps
-nothing that only a backward reads.
+backward closure. A tensor's node is fixed when the tensor is made, and
+tensors that require no gradient share one constant node, so a tensor
+outside any graph costs one pointer. Operations record the graph on their
+outputs' nodes, and `backward(loss)` replays the recorded operations in
+reverse topological order, accumulating gradients additively into every
+node it reaches. The graph links nodes, not tensors, and each closure
+captures only the arrays its backward reads, so an intermediate tensor
+whose data no backward reads is freed as soon as the caller drops it.
+Gradients are never overwritten on fan-out, and `backward` adds to what a
+leaf already holds, so a gradient should live only inside one step: the
+caller hands `backward` an `on_leaf` hook that consumes each leaf's
+gradient as soon as it is complete (the optimizer's fused step), or reads
+the gradients and clears them before the next backward. An op whose
+result will not be recorded (`records`: grad mode off, or no parent
+needing a gradient) keeps nothing that only a backward reads.
 
 A closure maps its node's gradient to one gradient per parent, in parent
 order (None where a parent needs none), and `backward` hands each to its
@@ -75,11 +78,6 @@ class Tensor:
     @property
     def requires_grad(self):
         return self.node is not _CONSTANT
-
-    @requires_grad.setter
-    def requires_grad(self, flag):
-        if bool(flag) != self.requires_grad:
-            self.node = Node() if flag else _CONSTANT
 
     @property
     def grad(self):
@@ -607,18 +605,19 @@ def gradient_check(f, x):
 
     `f` must map the tensor `x` to a scalar tensor. The relative error per
     coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    When `x` requires no gradient, the analytic pass differentiates a
+    trainable tensor that shares `x`'s array, so `f` must compute from its
+    argument; `x` itself is left as it was.
     """
     eps = 1e-5  # central-difference step
-    saved_flag = x.requires_grad
-    x.requires_grad = True
-    x.grad = None
-    out = f(x)
+    leaf = x if x.requires_grad else Tensor(x.data, requires_grad=True)
+    leaf.grad = None
+    out = f(leaf)
     if out.data.size != 1:
         raise ContractError(f"gradient_check requires a scalar function, got shape {out.data.shape}")
     backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = None
-    x.requires_grad = saved_flag
+    analytic = np.zeros_like(x.data) if leaf.grad is None else leaf.grad.copy()
+    leaf.grad = None
 
     numeric = np.zeros_like(x.data)
     flat = x.data.ravel()

@@ -42,15 +42,17 @@ SPEC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
 
 def _coerce(value, where):
     """A number, a bool (true/false) or else the string itself. int() and float()
-    accept '_' digit separators, so epochs=1_0 would read as 10: such a value is
-    refused, with `where` naming the file, line and key."""
+    accept '_' digit separators and the digits of every script, so epochs=1_0 and
+    epochs=١٠ would read as 10: such a value is refused, with `where` naming the
+    file, line and key."""
     for cast in (int, float):
         try:
             number = cast(value)
         except ValueError:
             continue
-        if "_" in value:
-            raise ContractError(f"{where}: {value!r} is not a plain number ('_' separators are not accepted)")
+        if "_" in value or not value.isascii():
+            raise ContractError(f"{where}: {value!r} is not a plain number "
+                                "(only ASCII digits, with no '_' separators, are accepted)")
         return number
     if value.lower() in ("true", "false"):
         return value.lower() == "true"

@@ -126,8 +126,9 @@ def normalize_positions(positions, spine_index):
     spine = positions[:, spine_index:spine_index + 1, :]
     centered = positions - spine
     scale = np.sqrt((centered ** 2).sum(axis=2)).mean()
-    if scale <= 0.0:
-        raise ContractError("degenerate skeleton: every joint coincides with the spine, scale undefined")
+    if not 0.0 < scale < np.inf:  # zero: every joint on the spine; inf: coordinates too large to square
+        raise ContractError(f"degenerate skeleton: scale (mean joint distance from the spine) {scale} "
+                            "is not positive and finite")
     return centered / scale
 
 

@@ -6,11 +6,12 @@ the gradient (g + lambda*p) for both optimizers; `Sgd` and `Adam` share one
 constructor and one per-tensor walk over CHUNK-sized blocks and differ only in
 the per-block update. The parameters live in one vector (each tensor's data a
 view of its slice), and so do Adam's moments; gradients stay per tensor, each
-walked where backward left it. `train` fuses each step into backward: a
-tensor is updated as soon as its gradient is complete, and the gradient is
-dropped at once (as LOMO, Lv et al. 2023, does), with the same bits
-as a whole `step()` after backward. `OPTIMIZERS` maps a config's optimizer
-name to its class.
+walked where backward left it. A gradient lives only inside a step: one
+routine updates a tensor from its gradient and drops the gradient, whether
+`train` fuses the step into backward (a tensor updated as soon as its
+gradient is complete, as LOMO, Lv et al. 2023, does) or a whole `step()`
+runs after backward; both give the same bits. `OPTIMIZERS` maps a config's
+optimizer name to its class.
 The validation pass of `train` and `evaluate` are one no-grad scorer,
 `_score`, which runs EVAL_CHUNK clips per forward over clips its callers checked.
 """
@@ -83,10 +84,12 @@ class _Optimizer:
     and of the state vectors named in `state` (zeros at construction) in place.
     Every vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`).
 
-    A step runs whole in `step()`, over every `t.grad`, or fused into backward:
-    `open_step()`, then `backward(loss, on_leaf=optimizer.on_leaf)`, which updates
-    each tensor as soon as its gradient is complete and drops that gradient, then
-    `step()`, which closes the step. Both give the same bits."""
+    `on_leaf` updates one tensor from its gradient and drops the gradient, so no
+    gradient outlives the step that applies it. A step runs whole in `step()`,
+    which hands it every tensor that holds a gradient, or fused into backward:
+    `open_step()`, then `backward(loss, on_leaf=optimizer.on_leaf)`, which hands
+    it each tensor as soon as its gradient is complete, then `step()`, which
+    closes the step. Both give the same bits."""
 
     default_lr = None
     state = ()
@@ -106,8 +109,8 @@ class _Optimizer:
             setattr(self, name, vector)
         self._vectors = [self.flat, *(getattr(self, name) for name in self.state)]
         self._scratch = (ad.aligned_empty(CHUNK), ad.aligned_empty(CHUNK))
-        self._offsets = list(accumulate((t.size for t in self.tensors[:-1]), initial=0))
-        self._offset_of = {t.node: offset for t, offset in zip(self.tensors, self._offsets)}
+        offsets = accumulate((t.size for t in self.tensors[:-1]), initial=0)
+        self._offset_of = {t.node: offset for t, offset in zip(self.tensors, offsets)}
         self._lr_t = None
         self._pending = None  # tensors an open step has yet to update; None when no step is open
 
@@ -118,8 +121,8 @@ class _Optimizer:
         self._pending = len(self.tensors)
 
     def on_leaf(self, node):
-        """`backward`'s leaf hook inside an open step: update the tensor of `node`
-        from its complete gradient, then drop the gradient."""
+        """Inside an open step, update the tensor of `node` from its complete
+        gradient, then drop the gradient: `backward`'s leaf hook, and `step()`'s."""
         offset = self._offset_of.get(node)
         if offset is not None:
             self._apply(offset, node.grad)
@@ -127,14 +130,13 @@ class _Optimizer:
             self._pending -= 1
 
     def step(self):
-        """Close the open step, or, when none is open, run a whole one over every `t.grad`."""
+        """Close the open step, or, when none is open, run a whole one over every
+        tensor that holds a gradient, dropping each gradient once applied."""
         if self._pending is None:
             self.open_step()
-            for t, offset in zip(self.tensors, self._offsets):
-                if t.grad is None:
-                    break
-                self._apply(offset, t.grad)
-                self._pending -= 1
+            for t in self.tensors:
+                if t.grad is not None:
+                    self.on_leaf(t.node)
         pending, self._pending = self._pending, None
         if pending:
             raise ContractError(f"{type(self).__name__.lower()} step with an unpopulated gradient")
@@ -259,17 +261,13 @@ def format_record(record):
 
 def _non_finite_message(params, loss_value, epoch, step, global_step):
     """Where a non-finite training loss arose: the epoch, the step and the first
-    parameter group, in `named_parameters()` order, whose data or grad is
-    non-finite; else, when the forward pass overflowed, the group largest in
-    magnitude. `train`'s steps drop every gradient they compute, so the only
-    grad that can be named is one the caller left on a tensor before the
-    first step."""
+    parameter group, in `named_parameters()` order, whose data is non-finite;
+    else, when the forward pass overflowed, the group largest in magnitude.
+    Only weights are read: no gradient outlives its step, so none exists here."""
     named = list(params.named_parameters())
     for name, t in named:
-        bad = [part for part, value in (("data", t.data), ("grad", t.grad))
-               if value is not None and not np.isfinite(value).all()]
-        if bad:
-            where = f"first non-finite parameter group: {name} ({' and '.join(bad)})"
+        if not np.isfinite(t.data).all():
+            where = f"first non-finite parameter group: {name} (data)"
             break
     else:
         name, t = max(named, key=lambda item: np.abs(item[1].data).max())
@@ -288,9 +286,11 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     ckpt_path + '.best.partial', which the end renames onto '.best'; no copy
     is held in memory. A batch loss that is not finite raises ContractError;
     a run that raises writes no final checkpoint and removes the partial
-    file. Each step's update runs inside its backward and drops each gradient
-    once applied, so validation runs, and train() returns, with every `.grad`
-    None.
+    file. A gradient the caller left on a parameter is cleared once, before
+    the first step, since backward would add to it. Each step's update runs
+    inside its backward and drops each gradient once applied, so no gradient
+    outlives its step: validation runs, and train() returns, with every
+    `.grad` None.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -303,6 +303,7 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
 
     _check_clips(params, dataset, range(len(dataset)))
     optimizer = make_optimizer(params, config)
+    params.zero_grads()
     records = []
     best_acc = -1.0
     partial = None if ckpt_path is None else f"{ckpt_path}.best.partial"
@@ -328,12 +329,6 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
                     )
                 epoch_loss += loss_value * len(batch)
                 epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
-                # A gradient the caller left is cleared only now, so that the report
-                # above can name it. The step runs inside backward: each tensor is
-                # updated as soon as its gradient is complete, and the gradient is
-                # dropped, so no step's gradients all exist at once and none outlives
-                # its step. step() closes it, raising if a tensor went without.
-                params.zero_grads()
                 optimizer.open_step()
                 ad.backward(loss, on_leaf=optimizer.on_leaf)
                 optimizer.step()

@@ -243,14 +243,18 @@ def test_clip_whose_skeleton_and_feature_labels_disagree_is_rejected(workspace, 
     assert load_dataset_dir(data, False, True)[0][0].label == 1
 
 
-def test_train_names_the_file_of_a_degenerate_skeleton(workspace, tmp_path):
+@pytest.mark.parametrize("degenerate", [
+    pytest.param(lambda p, spine: p[:, :, spine:spine + 1], id="joints-on-the-spine"),  # scale 0
+    pytest.param(lambda p, spine: p * 1e200, id="coordinates-x1e200"),  # finite, but the scale overflows
+])
+def test_train_names_the_file_of_a_degenerate_skeleton(workspace, tmp_path, degenerate):
     data = tmp_path / "data"
     data.mkdir()
     for path in sorted((workspace / "data").glob("*.skl"))[:3]:
         shutil.copy(path, data / path.name)
     bad = sorted(data.glob("*.skl"))[1]
     raw = load_skeleton_file(bad)
-    raw.positions[...] = raw.positions[:, :, raw.spine_index:raw.spine_index + 1]  # every joint on the spine
+    raw.positions[...] = degenerate(raw.positions, raw.spine_index)
     write_skeleton_file(bad, raw)
     result = run_cli("train", "--data", str(data), "--variant", "baseline", "--out", str(tmp_path / "x.ckpt"))
     assert result.returncode == 1
@@ -310,11 +314,16 @@ def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
     assert not (tmp_path / "x.ckpt").exists()
 
 
-@pytest.mark.parametrize("setting", ["epochs=1_0", "lr=1_0.5", "batch_size=0_4"])
+@pytest.mark.parametrize("setting", [
+    "epochs=1_0", "lr=1_0.5", "batch_size=0_4",
+    pytest.param("epochs=\u0661\u0660", id="epochs=arabic-indic-10"),
+    pytest.param("lr=\u0660.\u0661", id="lr=arabic-indic-0.1"),
+])
 def test_digit_separated_number_in_config_rejected(workspace, tmp_path, setting):
-    # int() and float() accept '_' separators: epochs=1_0 would silently read as 10
+    # int() and float() accept '_' separators and any script's digits: epochs=1_0 and
+    # epochs=١٠ would silently read as 10
     bad = tmp_path / "bad.cfg"
-    bad.write_text(f"optimizer=adam\n{setting}\n")
+    bad.write_text(f"optimizer=adam\n{setting}\n", encoding="utf-8")
     ckpt = tmp_path / "x.ckpt"
     result = run_cli(
         "train", "--data", str(workspace / "data"), "--variant", "baseline",

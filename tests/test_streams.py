@@ -246,12 +246,10 @@ def test_stream_forward_row_statistics():
 def test_stream_forward_gradient_through_residual_path():
     config = StreamConfig(post_filters=(3, 3, 4))
     rng = np.random.default_rng(15)
-    encoded = ad.Tensor(rng.normal(size=(5, 6)))
+    encoded = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     params = zeroed_stream_params(config, 6)
     f = probed(rng, lambda t: stream_forward(t, params), encoded)
     assert ad.gradient_check(f, encoded) < 1e-4
-    encoded.requires_grad = True
-    encoded.grad = None
     ad.backward(f(encoded))
     assert np.abs(encoded.grad).max() > 0
 

@@ -573,6 +573,31 @@ def test_gradient_check_softmax_pick():
     assert err < 1e-6
 
 
+def test_gradient_check_of_a_constant_leaves_it_constant():
+    # the analytic pass differentiates a trainable tensor sharing x's array
+    rng = np.random.default_rng(16)
+    x = ad.Tensor(rng.normal(size=(3, 4)))
+    w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+
+    def f(t):
+        return ad.sum_all(ad.tanh(ad.matmul(t, w)))
+
+    err = ad.gradient_check(f, x)
+    assert err == ad.gradient_check(f, ad.Tensor(x.data.copy(), requires_grad=True))
+    assert err < 1e-6
+    assert not x.requires_grad and x.grad is None
+
+
+def test_a_tensors_node_is_fixed_at_construction():
+    t = ad.Tensor(np.zeros(2), requires_grad=True)
+    node = t.node
+    with pytest.raises(AttributeError):
+        t.requires_grad = False
+    with pytest.raises(AttributeError):
+        ad.Tensor(np.zeros(2)).requires_grad = True
+    assert t.node is node and t.requires_grad
+
+
 def test_gradient_check_rejects_vector_function():
     with pytest.raises(ContractError):
         ad.gradient_check(lambda t: ad.relu(t), ad.Tensor(np.zeros(3)))

@@ -300,7 +300,7 @@ def test_fused_step_equals_backward_then_step(kind):
         loss = cross_entropy(*_batch_forward(plain_params, dataset, batch))
         ad.backward(loss)
         plain.step()
-        plain_params.zero_grads()
+        assert all(t.grad is None for t in plain_params.tensors())  # a whole step drops them too
 
         loss = cross_entropy(*_batch_forward(fused_params, dataset, batch))
         fused.open_step()
@@ -538,6 +538,19 @@ def test_no_checkpoint_path_writes_no_checkpoint(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gradients_the_caller_left_change_no_step():
+    # train clears them once before its first step; backward would otherwise add to them
+    config = TrainConfig(optimizer="adam", epochs=2, seed=0)
+    clean, held = tiny_model(), tiny_model()
+    rng = np.random.default_rng(12)
+    for t in held.tensors():
+        t.grad = rng.normal(size=t.data.shape)
+    assert train(tiny_dataset(), held, config) == train(tiny_dataset(), clean, config)
+    for (name, a), (_, b) in zip(held.named_parameters(), clean.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+        assert a.grad is None, name
+
+
 def test_adam_epoch_from_a_loaded_model_equals_one_from_a_build(tmp_path):
     # loaded tensors are views of one payload array; a build's own their memory
     dataset = tiny_dataset()
@@ -575,10 +588,10 @@ def test_non_finite_parameter_stops_training_and_names_it(tmp_path):
     with pytest.raises(ContractError, match=rf"at epoch 1, step 1 \(global step 1\); "
                                             rf"first non-finite parameter group: {name} \(data\)$"):
         train(dataset, params, TrainConfig(epochs=2, seed=0), ckpt_path=path)
-    # a gradient the caller left on a tensor counts too, in named_parameters() order
-    earlier, held = named[1]
+    # a gradient the caller left on an earlier tensor is cleared unread: only weights are named
+    _, held = named[1]
     held.grad = np.full(held.data.shape, np.inf)
-    with pytest.raises(ContractError, match=rf"first non-finite parameter group: {earlier} \(grad\)$"):
+    with pytest.raises(ContractError, match=rf"first non-finite parameter group: {name} \(data\)$"):
         train(dataset, params, TrainConfig(epochs=2, seed=0), ckpt_path=path)
     assert list(tmp_path.iterdir()) == []
 
