@@ -57,17 +57,14 @@ def init_attention_params(rng, model_dim, heads=HEADS):
     return AttentionParams(heads, w_q, w_k, w_v, ad.glorot_uniform(rng, (model_dim, model_dim)))
 
 
-def scaled_dot_attention(q, k, v, d_k, return_weights=False):
-    """softmax(Q K^T / sqrt(d_k)) V for Q [..., T_q, d], K [..., T_k, d], V [..., T_k, d_v];
+def scaled_dot_attention(q, k, v):
+    """softmax(Q K^T / sqrt(d)) V and its weights, for Q [..., T_q, d], K [..., T_k, d], V [..., T_k, d_v];
     leading axes are batch, and Q and K may have different row counts (T_q != T_k)."""
-    if d_k <= 0:
-        raise ContractError(f"scale d_k must be positive, got {d_k}")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
+    if q.data.ndim and not q.data.shape[-1]:  # matmul refuses a 0-d query
+        raise DimensionError(f"scaled_dot_attention: query width (axis {q.data.ndim - 1}) is 0")
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.data.shape[-1]))
     weights = ad.softmax(scores)
-    out = ad.matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
+    return ad.matmul(weights, v), weights
 
 
 def multi_head_self_attention(x, params, return_weights=False):
@@ -93,7 +90,7 @@ def multi_head_self_attention(x, params, return_weights=False):
         return ad.transpose(ad.reshape(ad.dense(x, w), by_head), -3, -2)
 
     q, k, v = split(params.w_q), split(params.w_k), split(params.w_v)
-    out, weights = scaled_dot_attention(q, k, v, params.head_width, return_weights=True)
+    out, weights = scaled_dot_attention(q, k, v)
     merged = ad.reshape(ad.transpose(out, -3, -2), rows + (params.model_dim,))
     projected = ad.dense(merged, params.w_o)
     if return_weights:

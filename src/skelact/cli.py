@@ -60,11 +60,11 @@ def _coerce(value, where):
 
 
 def parse_kv_file(path):
-    """Flat UTF-8 key=value text; '#' starts a comment, blank lines are skipped, a key may appear once."""
+    """Flat UTF-8 key=value text, BOM skipped; '#' starts a comment, blank lines are skipped, a key may appear once."""
     pairs = {}
     first_line = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ContractError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None

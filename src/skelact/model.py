@@ -26,7 +26,6 @@ from .streams import (
     TEU_KERNELS,
     StreamConfig,
     StreamParams,
-    fuse_pose_streams,
     init_conv_stack,
     init_stream_params,
     named_conv_stack,
@@ -238,11 +237,12 @@ def pose_branch(pose, params):
     acts = params.dims.stream.activations
     spatial_encode = seu_encode if params.ablation.use_seu else plain_encode
     temporal_encode = teu_encode if params.ablation.use_teu else plain_encode
-    # positional, so a tracer that keeps only positional arguments can replay each call
-    fused = fuse_pose_streams(
+    # spatial rows, then temporal, along time (-2); no local keeps a stream's output past the
+    # concat, and each call is positional, so a tracer keeping positional arguments can replay it
+    fused = ad.concat([
         stream_forward(spatial_encode(pose, branch.spatial_enc, acts), branch.spatial_stream, acts),
         stream_forward(temporal_encode(pose, branch.temporal_enc, acts), branch.temporal_stream, acts),
-    )
+    ], axis=-2)
     return tail_forward(fused, branch.tail)
 
 

@@ -181,8 +181,3 @@ def stream_forward(encoded, params, activations=StreamConfig.activations):
     else:
         residual = encoded
     return ad.layer_norm(ad.add(post_out, residual), params.ln_gain, params.ln_shift)
-
-
-def fuse_pose_streams(spatial_out, temporal_out):
-    """Concatenate the two stream outputs along the time axis (-2), spatial rows first."""
-    return ad.concat([spatial_out, temporal_out], axis=-2)

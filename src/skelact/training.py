@@ -84,12 +84,12 @@ class _Optimizer:
     and of the state vectors named in `state` (zeros at construction) in place.
     Every vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`).
 
-    `on_leaf` updates one tensor from its gradient and drops the gradient, so no
-    gradient outlives the step that applies it. A step runs whole in `step()`,
-    which hands it every tensor that holds a gradient, or fused into backward:
-    `open_step()`, then `backward(loss, on_leaf=optimizer.on_leaf)`, which hands
-    it each tensor as soon as its gradient is complete, then `step()`, which
-    closes the step. Both give the same bits."""
+    The optimizer is always inside a step, whose `lr_t` the constructor or the
+    step before fixes. `on_leaf` updates one tensor from its gradient and drops
+    the gradient: `backward(loss, on_leaf=optimizer.on_leaf)` hands it each
+    tensor as soon as its gradient is complete. `step()` ends the step, first
+    handing it any gradient still held, so a plain `backward` then `step()`
+    gives the same bits; no gradient outlives its step."""
 
     default_lr = None
     state = ()
@@ -111,18 +111,16 @@ class _Optimizer:
         self._scratch = (ad.aligned_empty(CHUNK), ad.aligned_empty(CHUNK))
         offsets = accumulate((t.size for t in self.tensors[:-1]), initial=0)
         self._offset_of = {t.node: offset for t, offset in zip(self.tensors, offsets)}
-        self._lr_t = None
-        self._pending = None  # tensors an open step has yet to update; None when no step is open
+        self._next_step()
 
-    def open_step(self):
-        """Begin a step: fix its learning rate and count it, before its first update."""
+    def _next_step(self):
+        """Fix the coming step's learning rate; it has every tensor yet to update."""
         self._lr_t = self.lr / (1.0 + self.decay * self.steps)
-        self.steps += 1
         self._pending = len(self.tensors)
 
     def on_leaf(self, node):
-        """Inside an open step, update the tensor of `node` from its complete
-        gradient, then drop the gradient: `backward`'s leaf hook, and `step()`'s."""
+        """Update the tensor of `node` from its complete gradient, then drop the
+        gradient: `backward`'s leaf hook, and `step()`'s."""
         offset = self._offset_of.get(node)
         if offset is not None:
             self._apply(offset, node.grad)
@@ -130,16 +128,18 @@ class _Optimizer:
             self._pending -= 1
 
     def step(self):
-        """Close the open step, or, when none is open, run a whole one over every
-        tensor that holds a gradient, dropping each gradient once applied."""
-        if self._pending is None:
-            self.open_step()
+        """End the step: hand `on_leaf` every gradient still held (none after a
+        fused backward), check that every tensor was updated, then count the
+        step and fix the next one's learning rate, even when the check raises."""
+        try:
             for t in self.tensors:
                 if t.grad is not None:
                     self.on_leaf(t.node)
-        pending, self._pending = self._pending, None
-        if pending:
-            raise ContractError(f"{type(self).__name__.lower()} step with an unpopulated gradient")
+            if self._pending:
+                raise ContractError(f"{type(self).__name__.lower()} step with an unpopulated gradient")
+        finally:
+            self.steps += 1
+            self._next_step()
 
     def _apply(self, offset, grad):
         """Update the tensor at `offset` of `flat`, and its state, from `grad`."""
@@ -173,7 +173,7 @@ class Adam(_Optimizer):
         b1, b2 = ADAM_BETAS
         # the allocating form's operations, in its order:
         # g = grad + l2*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        # p -= lr_t*(m/c1) / (sqrt(v/c2) + eps), c = 1 - b**steps
+        # p -= lr_t*(m/c1) / (sqrt(v/c2) + eps), c = 1 - b**(steps + 1), this step's number
         np.multiply(p, self.l2, out=g)
         g += g_raw
         m *= b1
@@ -183,9 +183,9 @@ class Adam(_Optimizer):
         np.multiply(g, 1.0 - b2, out=d)
         d *= g
         v += d
-        np.divide(m, 1.0 - b1 ** self.steps, out=g)
+        np.divide(m, 1.0 - b1 ** (self.steps + 1), out=g)
         g *= lr_t
-        np.divide(v, 1.0 - b2 ** self.steps, out=d)
+        np.divide(v, 1.0 - b2 ** (self.steps + 1), out=d)
         np.sqrt(d, out=d)
         d += ADAM_EPS
         g /= d
@@ -281,16 +281,16 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
     """Mini-batch training with a seeded shuffle; returns per-epoch records.
 
     Writes the final parameters to ckpt_path and, when a validation split
-    exists, the best-validation parameters to ckpt_path + '.best'. Each time
-    validation accuracy improves, the weights go to disk as
-    ckpt_path + '.best.partial', which the end renames onto '.best'; no copy
-    is held in memory. A batch loss that is not finite raises ContractError;
-    a run that raises writes no final checkpoint and removes the partial
-    file. A gradient the caller left on a parameter is cleared once, before
-    the first step, since backward would add to it. Each step's update runs
-    inside its backward and drops each gradient once applied, so no gradient
-    outlives its step: validation runs, and train() returns, with every
-    `.grad` None.
+    exists, the best-validation parameters to ckpt_path + '.best' (else it
+    removes an earlier run's '.best'). Each time validation accuracy improves,
+    the weights go to disk as ckpt_path + '.best.partial', which the end
+    renames onto '.best'; no copy is held in memory. A batch loss that is not
+    finite raises ContractError; a run that raises writes no final checkpoint
+    and removes the partial file. A gradient the caller left on a parameter is
+    cleared once, before the first step, since backward would add to it. Each
+    step updates every parameter inside its backward, dropping each gradient
+    once applied, then ends with `optimizer.step()`; so no gradient outlives
+    its step: validation runs, and train() returns, with every `.grad` None.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -329,7 +329,6 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
                     )
                 epoch_loss += loss_value * len(batch)
                 epoch_correct += int((np.argmax(logits.data, axis=-1) == labels).sum())
-                optimizer.open_step()
                 ad.backward(loss, on_leaf=optimizer.on_leaf)
                 optimizer.step()
             emit(epoch, "train", epoch_loss / len(epoch_order), 100.0 * epoch_correct / len(epoch_order))
@@ -346,6 +345,9 @@ def train(dataset, params, config, ckpt_path=None, log_fn=None):
             save_checkpoint(ckpt_path, params)
             if len(val_idx):
                 os.replace(partial, f"{ckpt_path}.best")
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(f"{ckpt_path}.best")  # an earlier run's
     finally:
         if partial is not None:
             with contextlib.suppress(FileNotFoundError):

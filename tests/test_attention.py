@@ -33,16 +33,12 @@ def mha_oracle(x, params):
     return np.concatenate(heads, axis=1) @ params.w_o.data
 
 
-def random_params(rng, model_dim, heads):
-    return init_attention_params(rng, model_dim, heads=heads)
-
-
 def test_single_position_returns_value_row():
     rng = np.random.default_rng(0)
     q = ad.Tensor(rng.normal(size=(1, 4)))
     k = ad.Tensor(rng.normal(size=(1, 4)))
     v = ad.Tensor(rng.normal(size=(1, 4)))
-    out = scaled_dot_attention(q, k, v, 4.0)
+    out, _ = scaled_dot_attention(q, k, v)
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
 
@@ -51,7 +47,7 @@ def test_identical_keys_give_mean_of_values():
     q = ad.Tensor(rng.normal(size=(3, 4)))
     k = ad.Tensor(np.tile(rng.normal(size=(1, 4)), (3, 1)))
     v = ad.Tensor(rng.normal(size=(3, 4)))
-    out = scaled_dot_attention(q, k, v, 4.0)
+    out, _ = scaled_dot_attention(q, k, v)
     expect = np.tile(v.data.mean(axis=0), (3, 1))
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -61,7 +57,7 @@ def test_scaled_dot_attention_small_oracle():
     q = rng.normal(size=(2, 2))
     k = rng.normal(size=(2, 2))
     v = rng.normal(size=(2, 2))
-    out = scaled_dot_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 2.0)
+    out, _ = scaled_dot_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v))
     # per-position loop
     expect = np.zeros((2, 2))
     for t in range(2):
@@ -78,7 +74,7 @@ def test_scaled_dot_attention_query_and_key_lengths_differ():
     q = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     k = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     v = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    out = scaled_dot_attention(q, k, v, 4.0)
+    out, _ = scaled_dot_attention(q, k, v)
     expect = softmax_rows(q.data @ k.data.T / 2.0) @ v.data
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
     ad.backward(ad.sum_all(out))
@@ -93,18 +89,22 @@ def test_attention_weight_rows_sum_to_one():
         q = ad.Tensor(rng.normal(size=(t, d)) * 3)
         k = ad.Tensor(rng.normal(size=(t, d)) * 3)
         v = ad.Tensor(rng.normal(size=(t, d)))
-        _, weights = scaled_dot_attention(q, k, v, float(d), return_weights=True)
+        _, weights = scaled_dot_attention(q, k, v)
         np.testing.assert_allclose(weights.data.sum(axis=1), np.ones(t), atol=1e-12)
 
 
 def test_scaled_dot_attention_errors():
     q = ad.Tensor(np.zeros((3, 4)))
     with pytest.raises(DimensionError):
-        scaled_dot_attention(q, ad.Tensor(np.zeros((3, 5))), q, 4.0)
+        scaled_dot_attention(q, ad.Tensor(np.zeros((3, 5))), q)
     with pytest.raises(DimensionError):
-        scaled_dot_attention(q, q, ad.Tensor(np.zeros((2, 4))), 4.0)
-    with pytest.raises(ContractError):
-        scaled_dot_attention(q, q, q, 0.0)
+        scaled_dot_attention(q, q, ad.Tensor(np.zeros((2, 4))))
+
+
+def test_empty_query_width_raises():
+    empty = ad.Tensor(np.zeros((3, 0)))
+    with pytest.raises(DimensionError, match=r"^scaled_dot_attention: query width \(axis 1\) is 0$"):
+        scaled_dot_attention(empty, empty, ad.Tensor(np.ones((3, 2))))
 
 
 def test_single_head_identity_projections_reduce():
@@ -114,17 +114,17 @@ def test_single_head_identity_projections_reduce():
     eye = lambda: ad.Tensor(np.eye(d), requires_grad=True)
     params = AttentionParams(1, eye(), eye(), eye(), eye())
     out = multi_head_self_attention(x, params)
-    expect = scaled_dot_attention(x, x, x, float(d))
+    expect, _ = scaled_dot_attention(x, x, x)
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
 
 
 def test_shape_preserved_pose_and_rgb_widths():
     rng = np.random.default_rng(5)
-    pose_params = random_params(rng, 120, 4)
+    pose_params = init_attention_params(rng, 120, heads=4)
     x = ad.Tensor(rng.normal(size=(84, 120)))
     assert multi_head_self_attention(x, pose_params).data.shape == (84, 120)
 
-    rgb_params = random_params(rng, 1536, 4)
+    rgb_params = init_attention_params(rng, 1536, heads=4)
     feats = ad.Tensor(rng.normal(size=(20, 1536)))
     assert multi_head_self_attention(feats, rgb_params).data.shape == (20, 1536)
 
@@ -135,7 +135,7 @@ def test_matches_per_head_oracle():
         for _ in range(20):
             t = int(rng.integers(1, 7))
             d = int(rng.integers(1, 3)) * heads
-            params = random_params(rng, d, heads)
+            params = init_attention_params(rng, d, heads=heads)
             x = rng.normal(size=(t, d))
             out = multi_head_self_attention(ad.Tensor(x), params)
             np.testing.assert_allclose(out.data, mha_oracle(x, params), atol=1e-10)
@@ -143,7 +143,7 @@ def test_matches_per_head_oracle():
 
 def test_split_heads_variant():
     rng = np.random.default_rng(7)
-    params = random_params(rng, 8, 4)
+    params = init_attention_params(rng, 8, heads=4)
     assert params.head_width == 2
     for w in (params.w_q, params.w_k, params.w_v, params.w_o):
         assert w.data.shape == (8, 8)
@@ -155,7 +155,7 @@ def test_split_heads_variant():
 
 def test_square_heads_stack_four_projections():
     """The four projections are square [D, D]; each of the h heads is D/h wide."""
-    params = random_params(np.random.default_rng(8), 6, 2)
+    params = init_attention_params(np.random.default_rng(8), 6, heads=2)
     assert params.head_width == 3
     assert [n for n, _ in params.named()] == ["wq", "wk", "wv", "wo"]
     for w in (params.w_q, params.w_k, params.w_v, params.w_o):
@@ -175,7 +175,7 @@ def test_widths_are_read_from_the_projections(model_dim, heads):
 @pytest.mark.parametrize("model_dim,heads", [(6, 2), (8, 4), (5, 1)])
 def test_stacked_columns_equal_per_head_draws(model_dim, heads):
     """Head i's blocks are drawn q_i, k_i, v_i in turn, then W_o, each glorot-uniform."""
-    params = random_params(np.random.default_rng(21), model_dim, heads)
+    params = init_attention_params(np.random.default_rng(21), model_dim, heads=heads)
     rng = np.random.default_rng(21)
     w = model_dim // heads
     limit = np.sqrt(6.0 / (model_dim + w))
@@ -192,7 +192,7 @@ def test_stacked_columns_equal_per_head_draws(model_dim, heads):
 
 def test_return_weights_stacks_heads():
     rng = np.random.default_rng(22)
-    params = random_params(rng, 8, 4)
+    params = init_attention_params(rng, 8, heads=4)
     x = rng.normal(size=(3, 5, 8))
     out, weights = multi_head_self_attention(ad.Tensor(x), params, return_weights=True)
     assert out.data.shape == (3, 5, 8)
@@ -211,7 +211,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(9)
     for _ in range(20):
         t = int(rng.integers(2, 8))
-        params = random_params(rng, 8, 4)
+        params = init_attention_params(rng, 8, heads=4)
         x = rng.normal(size=(t, 8))
         perm = rng.permutation(t)
         out_then_perm = multi_head_self_attention(ad.Tensor(x), params).data[perm]
@@ -229,14 +229,14 @@ def test_head_divisibility_enforced():
 
 def test_input_width_checked():
     rng = np.random.default_rng(11)
-    params = random_params(rng, 8, 2)
+    params = init_attention_params(rng, 8, heads=2)
     with pytest.raises(DimensionError, match="axis 1"):
         multi_head_self_attention(ad.Tensor(np.zeros((3, 5))), params)
 
 
 def test_gradients_pass_finite_differences():
     rng = np.random.default_rng(12)
-    params = random_params(rng, 4, 2)
+    params = init_attention_params(rng, 4, heads=2)
     x = ad.Tensor(rng.normal(size=(3, 4)))
     loss = probed(rng, lambda t: multi_head_self_attention(t, params), x)
     assert ad.gradient_check(loss, x) < 1e-4
@@ -245,8 +245,8 @@ def test_gradients_pass_finite_differences():
 
 
 def test_init_is_seed_deterministic():
-    a = random_params(np.random.default_rng(77), 8, 4)
-    b = random_params(np.random.default_rng(77), 8, 4)
+    a = init_attention_params(np.random.default_rng(77), 8, heads=4)
+    b = init_attention_params(np.random.default_rng(77), 8, heads=4)
     for (na, ta), (nb, tb) in zip(a.named(), b.named()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)

@@ -1,3 +1,4 @@
+import codecs
 import os
 import shutil
 import struct
@@ -340,6 +341,26 @@ def test_underscores_in_a_non_numeric_value_stay_a_string(tmp_path):
     path = tmp_path / "kv.cfg"
     path.write_text("name=a_b\ncount=12\nrate=2.5e-3\n")
     assert cli.parse_kv_file(path) == {"name": "a_b", "count": 12, "rate": 2.5e-3}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--spec"])
+def test_settings_file_with_a_byte_order_mark_reads_as_without(workspace, tmp_path, flag):
+    # an editor that saves UTF-8 with a BOM must not turn the first key into '\ufeffepochs'
+    settings = "epochs=1\noptimizer=adam\n" if flag == "--config" else "samples_per_class=2\njoints=4\n"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + settings.encode("utf-8"))
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(settings, encoding="utf-8")
+    assert cli.parse_kv_file(path) == cli.parse_kv_file(plain)
+    out = tmp_path / "out"
+    if flag == "--config":
+        argv = ("train", "--data", str(workspace / "data"), "--variant", "baseline",
+                "--config", str(path), "--out", str(out))
+    else:
+        argv = ("gen-data", "--spec", str(path), "--out", str(out))
+    result = run_cli(*argv)
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--spec"])

@@ -34,10 +34,6 @@ def lstm_oracle(seq, w_x, w_h, bias, hidden):
     return out
 
 
-def make_params(rng, d, h):
-    return init_lstm_params(rng, d, h)
-
-
 def test_zero_weights_give_zero_states():
     params = LstmParams(
         ad.Tensor(np.zeros((3, 8)), requires_grad=True),
@@ -79,7 +75,7 @@ def test_matches_recurrence_oracle():
         t = int(rng.integers(1, 8))
         d = int(rng.integers(1, 5))
         h = int(rng.integers(1, 5))
-        params = make_params(rng, d, h)
+        params = init_lstm_params(rng, d, h)
         seq = rng.normal(size=(t, d))
         out = lstm_forward(ad.Tensor(seq), params)
         expect = lstm_oracle(seq, params.w_x.data, params.w_h.data, params.bias.data, h)
@@ -89,7 +85,7 @@ def test_matches_recurrence_oracle():
 def test_outputs_bounded():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        params = make_params(rng, 3, 4)
+        params = init_lstm_params(rng, 3, 4)
         seq = rng.normal(size=(6, 3)) * 50
         out = lstm_forward(ad.Tensor(seq), params)
         assert (np.abs(out.data) < 1.0).all()
@@ -97,7 +93,7 @@ def test_outputs_bounded():
 
 def test_saturated_gates_stay_finite_without_warnings():
     rng = np.random.default_rng(23)
-    params = make_params(rng, 3, 2)
+    params = init_lstm_params(rng, 3, 2)
     seq = ad.Tensor(1e4 * rng.normal(size=(6, 3)), requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -136,16 +132,16 @@ def test_shape_errors():
 
 def test_bilstm_shape():
     rng = np.random.default_rng(5)
-    fwd = make_params(rng, 3, 4)
-    bwd = make_params(rng, 3, 4)
+    fwd = init_lstm_params(rng, 3, 4)
+    bwd = init_lstm_params(rng, 3, 4)
     out = bilstm(ad.Tensor(rng.normal(size=(7, 3))), fwd, bwd)
     assert out.data.shape == (7, 8)
 
 
 def test_bilstm_two_pass_oracle():
     rng = np.random.default_rng(6)
-    fwd = make_params(rng, 2, 2)
-    bwd = make_params(rng, 2, 2)
+    fwd = init_lstm_params(rng, 2, 2)
+    bwd = init_lstm_params(rng, 2, 2)
     seq = rng.normal(size=(3, 2))
     out = bilstm(ad.Tensor(seq), fwd, bwd)
     first = lstm_forward(ad.Tensor(seq), fwd).data
@@ -164,8 +160,8 @@ def test_bilstm_reversal_symmetry():
         t = int(rng.integers(1, 7))
         d = int(rng.integers(1, 4))
         h = int(rng.integers(1, 4))
-        p = make_params(rng, d, h)
-        q = make_params(rng, d, h)
+        p = init_lstm_params(rng, d, h)
+        q = init_lstm_params(rng, d, h)
         seq = rng.normal(size=(t, d))
         left = bilstm(ad.Tensor(seq[::-1].copy()), p, q).data
         right = swap_halves(bilstm(ad.Tensor(seq), q, p).data)[::-1]
@@ -174,7 +170,7 @@ def test_bilstm_reversal_symmetry():
 
 def test_gradients_pass_finite_differences():
     rng = np.random.default_rng(8)
-    params = make_params(rng, 2, 2)
+    params = init_lstm_params(rng, 2, 2)
     seq = ad.Tensor(rng.normal(size=(3, 2)))
     loss = probed(rng, lambda t: lstm_forward(t, params), seq)
     assert ad.gradient_check(loss, seq) < 1e-4
@@ -184,8 +180,8 @@ def test_gradients_pass_finite_differences():
 
 def test_bilstm_gradients_pass_finite_differences():
     rng = np.random.default_rng(9)
-    fwd = make_params(rng, 2, 2)
-    bwd = make_params(rng, 2, 2)
+    fwd = init_lstm_params(rng, 2, 2)
+    bwd = init_lstm_params(rng, 2, 2)
     seq = ad.Tensor(rng.normal(size=(3, 2)))
     loss = probed(rng, lambda t: bilstm(t, fwd, bwd), seq)
     assert ad.gradient_check(loss, seq) < 1e-4
@@ -197,14 +193,14 @@ def test_bilstm_gradients_pass_finite_differences():
 def test_hidden_size_mismatch_between_directions():
     rng = np.random.default_rng(10)
     with pytest.raises(DimensionError):
-        bilstm(ad.Tensor(np.zeros((3, 2))), make_params(rng, 2, 2), make_params(rng, 2, 3))
+        bilstm(ad.Tensor(np.zeros((3, 2))), init_lstm_params(rng, 2, 2), init_lstm_params(rng, 2, 3))
 
 
 @pytest.mark.parametrize("shape", [[3, 0], [2, 3, 0]])
 def test_bilstm_runs_forward_and_backward_on_a_zero_width_input(shape):
     # numpy cannot infer a -1 sequence count beside an input width of 0
     rng = np.random.default_rng(11)
-    fwd, bwd = make_params(rng, 0, 2), make_params(rng, 0, 2)
+    fwd, bwd = init_lstm_params(rng, 0, 2), init_lstm_params(rng, 0, 2)
     seq = ad.Tensor(np.zeros(shape), requires_grad=True)
     out = bilstm(seq, fwd, bwd)
     assert out.data.shape == (*shape[:-1], 4)
@@ -303,7 +299,7 @@ def assert_grads_close(actual, expected):
 @example(t_len=20, lead=(4,), d=5, h=6, input_scale=1e3, seed=1)
 def test_lstm_and_bilstm_match_per_step_reference(t_len, lead, d, h, input_scale, seed):
     rng = np.random.default_rng(seed)
-    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    fwd, bwd = init_lstm_params(rng, d, h), init_lstm_params(rng, d, h)
     for params in (fwd, bwd):
         params.bias.data = rng.normal(size=4 * h)
     seq_data = input_scale * rng.normal(size=lead + (t_len, d))
@@ -372,7 +368,7 @@ def reference_bilstm(seq_data, fwd, bwd, upstream):
 @example(t_len=6, lead=(2, 3), d=4, h=4, seed=1)
 def test_bilstm_matches_frozen_reference(t_len, lead, d, h, seed):
     rng = np.random.default_rng(seed)
-    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    fwd, bwd = init_lstm_params(rng, d, h), init_lstm_params(rng, d, h)
     seq_data = rng.normal(size=lead + (t_len, d))
     upstream = rng.normal(size=lead + (t_len, 2 * h))
     want_out, want_dseq, want_params = reference_bilstm(seq_data, fwd, bwd, upstream)
@@ -417,7 +413,7 @@ def test_bilstm_bits_do_not_depend_on_parameter_alignment(lead):
     d, h, t_len = 24, 128, 84
     values = []
     for _ in range(2):
-        params = make_params(rng, d, h)
+        params = init_lstm_params(rng, d, h)
         params.bias.data = rng.normal(size=4 * h)
         values += [params.w_x.data, params.w_h.data, params.bias.data]
     seq_data = rng.normal(size=lead + (t_len, d))
@@ -436,7 +432,7 @@ def test_bilstm_bits_do_not_depend_on_parameter_alignment(lead):
 @pytest.mark.parametrize("lead", [(), (1,), (16,)])
 def test_no_grad_forward_gives_the_grad_mode_bits(lead, reverse):
     rng = np.random.default_rng(21)
-    params = make_params(rng, 6, 5)
+    params = init_lstm_params(rng, 6, 5)
     params.bias.data = rng.normal(size=20)
     seq_data = rng.normal(size=lead + (13, 6))
     recorded = lstm_forward(ad.Tensor(seq_data, requires_grad=True), params, reverse=reverse)
@@ -465,7 +461,7 @@ def test_no_grad_bilstm_peaks_below_grad_mode_by_the_gate_buffer():
     # the default clip length, at the validation pass's 16 clips per forward
     t_len, batch, d, h = 84, 16, 16, 32
     rng = np.random.default_rng(22)
-    fwd, bwd = make_params(rng, d, h), make_params(rng, d, h)
+    fwd, bwd = init_lstm_params(rng, d, h), init_lstm_params(rng, d, h)
     seq_data = rng.normal(size=(batch, t_len, d))
     recorded = traced_peak(lambda: bilstm(ad.Tensor(seq_data, requires_grad=True), fwd, bwd))
     with ad.no_grad():

@@ -11,7 +11,6 @@ from skelact.streams import (
     ConvParams,
     StreamConfig,
     apply_conv_stack,
-    fuse_pose_streams,
     init_conv_stack,
     init_stream_params,
     plain_encode,
@@ -21,25 +20,9 @@ from skelact.streams import (
 )
 from skelact.verify import check_named, probed
 
+from oracles import conv1d_oracle
+
 LINEAR3 = ("linear", "linear", "linear")
-
-
-def conv1d_oracle(x, kern, bias):
-    """'Same'-padded conv1d as a direct sliding-window sum."""
-    k, c_in, c_out = kern.shape
-    pl, pr = k // 2, (k - 1) // 2
-    padded = np.zeros((x.shape[0] + pl + pr, c_in))
-    padded[pl:pl + x.shape[0]] = x
-    out_len = padded.shape[0] - k + 1
-    out = np.zeros((out_len, c_out))
-    for t in range(out_len):
-        for f in range(c_out):
-            acc = bias[f]
-            for kk in range(k):
-                for c in range(c_in):
-                    acc += padded[t + kk, c] * kern[kk, c, f]
-            out[t, f] = acc
-    return out
 
 
 def relu(x):
@@ -280,7 +263,7 @@ def test_fuse_shapes_and_order():
     rng = np.random.default_rng(17)
     spatial = ad.Tensor(rng.normal(size=(20, 120)))
     temporal = ad.Tensor(rng.normal(size=(64, 120)))
-    fused = fuse_pose_streams(spatial, temporal)
+    fused = ad.concat([spatial, temporal], axis=-2)
     assert fused.data.shape == (84, 120)
     assert (fused.data[:20] == spatial.data).all()
     assert (fused.data[20:] == temporal.data).all()
@@ -288,9 +271,9 @@ def test_fuse_shapes_and_order():
 
 def test_fuse_channel_mismatch():
     with pytest.raises(DimensionError, match="axis 1"):
-        fuse_pose_streams(ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((4, 6))))
+        ad.concat([ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((4, 6)))], axis=-2)
     with pytest.raises(DimensionError, match="axis 0"):
-        fuse_pose_streams(ad.Tensor(np.zeros((2, 4, 8))), ad.Tensor(np.zeros((3, 4, 8))))
+        ad.concat([ad.Tensor(np.zeros((2, 4, 8))), ad.Tensor(np.zeros((3, 4, 8)))], axis=-2)
 
 
 # ---------------------------------------------------------------------------

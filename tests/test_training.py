@@ -303,7 +303,6 @@ def test_fused_step_equals_backward_then_step(kind):
         assert all(t.grad is None for t in plain_params.tensors())  # a whole step drops them too
 
         loss = cross_entropy(*_batch_forward(fused_params, dataset, batch))
-        fused.open_step()
         ad.backward(loss, on_leaf=fused.on_leaf)
         assert all(t.grad is None for t in fused_params.tensors())  # each dropped once applied
         fused.step()
@@ -318,15 +317,34 @@ def test_fused_step_equals_backward_then_step(kind):
 def test_parameter_the_loss_does_not_reach_raises_unpopulated(cls):
     reached, unreached = param_tensor([1.0, 2.0]), param_tensor([3.0])
     opt = cls([reached, unreached])
-    opt.open_step()
     ad.backward(ad.sum_all(ad.mul(reached, reached)), on_leaf=opt.on_leaf)
     with pytest.raises(ContractError, match=f"^{cls.__name__.lower()} step with an unpopulated gradient$"):
         opt.step()
-    # the plain walk refuses the same tensor alike, and either way the step is closed
+    # the plain walk refuses the same tensor alike, and either way the step is counted
     reached.grad = np.ones(2)
     with pytest.raises(ContractError, match=f"^{cls.__name__.lower()} step with an unpopulated gradient$"):
         opt.step()
     assert opt.steps == 2
+
+
+@pytest.mark.parametrize("cls", [Adam, Sgd])
+def test_one_step_applies_fused_updates_and_a_gradient_the_caller_set(cls):
+    reached, by_hand = param_tensor([1.0, -2.0]), param_tensor([3.0])
+    opt = cls([reached, by_hand], lr=0.1, lr_decay=0.5)
+    ad.backward(ad.sum_all(ad.mul(reached, reached)), on_leaf=opt.on_leaf)
+    assert reached.grad is None  # updated inside backward
+    by_hand.grad = np.array([0.5])
+    opt.step()
+
+    # the same gradients, each set by hand and applied by one whole step()
+    ref_reached, ref_by_hand = param_tensor([1.0, -2.0]), param_tensor([3.0])
+    ref = cls([ref_reached, ref_by_hand], lr=0.1, lr_decay=0.5)
+    ref_reached.grad, ref_by_hand.grad = np.array([2.0, -4.0]), np.array([0.5])
+    ref.step()
+    np.testing.assert_array_equal(opt.flat, ref.flat)
+    assert opt.flat[0] != 1.0 and opt.flat[2] != 3.0
+    assert opt.steps == ref.steps == 1
+    assert reached.grad is None and by_hand.grad is None
 
 
 def test_train_calls_adam_step_once_per_step_after_backward(monkeypatch):
@@ -576,6 +594,16 @@ def test_no_validation_split_skips_best_checkpoint(tmp_path):
     assert all(r["split"] == "train" for r in records)
     assert path.exists()
     assert not (tmp_path / "run.ckpt.best").exists()
+
+
+def test_run_without_validation_removes_an_earlier_best_checkpoint(tmp_path):
+    dataset = tiny_dataset()
+    path = tmp_path / "run.ckpt"
+    train(dataset, tiny_model("full"), TrainConfig(epochs=1, seed=0), ckpt_path=path)
+    assert (tmp_path / "run.ckpt.best").exists()
+    train(dataset, tiny_model("baseline"), TrainConfig(epochs=1, seed=0, val_fraction=0.0), ckpt_path=path)
+    assert load_checkpoint(path).ablation.variant == "baseline"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
 
 def test_non_finite_parameter_stops_training_and_names_it(tmp_path):
