@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -32,16 +33,13 @@ from .errors import ContractError
 from .model import BRANCH_VARIANTS, BRANCHES, VARIANT_ROWS, ModelDims, build_variant, load_checkpoint, variant_config
 from .training import TrainConfig, evaluate, train
 
-TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-SPEC_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)}
-
 
 # ---------------------------------------------------------------------------
 # config files
 
 
 def _coerce(value, where):
-    """A number, a bool (true/false) or else the string itself. int() and float()
+    """A number, or else the string itself (`true` and `false` too). int() and float()
     accept '_' digit separators and the digits of every script, so epochs=1_0 and
     epochs=١٠ would read as 10: such a value is refused, with `where` naming the
     file, line and key."""
@@ -54,21 +52,20 @@ def _coerce(value, where):
             raise ContractError(f"{where}: {value!r} is not a plain number "
                                 "(only ASCII digits, with no '_' separators, are accepted)")
         return number
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
     return value
 
 
 def parse_kv_file(path):
-    """Flat UTF-8 key=value text, BOM skipped; '#' starts a comment, blank lines are skipped, a key may appear once."""
+    """Flat UTF-8 key=value text, BOM skipped; '#' starts a comment, blank lines are skipped, a key may appear once.
+    The file is decoded whole, so a non-UTF-8 byte is named by its offset in the file;
+    lines end at \n, \r\n or \r, as in a text-mode read."""
     pairs = {}
     first_line = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise ContractError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -85,11 +82,17 @@ def parse_kv_file(path):
     return pairs
 
 
-def _filtered(pairs, allowed, path, what):
-    unknown = sorted(set(pairs) - allowed)
+def _settings(cls, path, seed, what):
+    """`cls` built from the key=value file at `path`, if given, whose keys must be fields of
+    `cls`; a `seed` that is not None overrides the file's."""
+    pairs = parse_kv_file(path) if path else {}
+    allowed = sorted(field.name for field in dataclasses.fields(cls))
+    unknown = sorted(set(pairs) - set(allowed))
     if unknown:
-        raise ContractError(f"{path}: unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
-    return pairs
+        raise ContractError(f"{path}: unknown {what} keys {unknown}; allowed: {allowed}")
+    if seed is not None:
+        pairs["seed"] = seed
+    return cls(**pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +164,7 @@ def _branch_dataset(args):
 
 
 def cmd_gen_data(args):
-    pairs = {}
-    if args.spec:
-        pairs = _filtered(parse_kv_file(args.spec), SPEC_KEYS, args.spec, "generator")
-    if args.seed is not None:
-        pairs["seed"] = args.seed
-    spec = SyntheticSpec(**pairs)
+    spec = _settings(SyntheticSpec, args.spec, args.seed, "generator")
     out = Path(args.out)
     clip = next((path for suffix in (".skl", ".ftr") for path in out.glob(f"*{suffix}")), None)
     if clip is not None:
@@ -197,12 +195,7 @@ def cmd_gen_data(args):
 
 
 def _resolve_train_config(args):
-    pairs = {}
-    if args.config:
-        pairs = _filtered(parse_kv_file(args.config), TRAIN_KEYS, args.config, "training")
-    if args.seed is not None:
-        pairs["seed"] = args.seed
-    config = TrainConfig(**pairs)
+    config = _settings(TrainConfig, args.config, args.seed, "training")
     if config.optimizer == "sgd" and config.lr * config.l2_lambda >= 1:
         print(f"warning: sgd lr*l2_lambda = {config.lr * config.l2_lambda:g} >= 1: the L2 factor "
               f"1 - lr*l2_lambda <= 0 flips or zeroes every weight each step", file=sys.stderr)

@@ -193,6 +193,8 @@ def generate_raw(spec):
         for _ in range(spec.samples_per_class):
             noise = rng.normal(scale=spec.noise_sigma, size=clean.shape) if spec.noise_sigma > 0 else 0.0
             positions = (clean + noise)[:, None, :, :]  # single subject
+            if not np.isfinite(positions).all():
+                raise ContractError(f"synthetic clip {len(out)} (class {label}) has non-finite skeleton positions")
             skeleton = RawSkeletonSample(positions, spec.joints, 1, spec.spine_index, label)
             feat_noise = (
                 rng.normal(scale=spec.rgb_noise_sigma, size=(spec.frames, FEATURE_WIDTH))

@@ -107,13 +107,19 @@ def test_gen_data_missing_out_is_usage_error():
     assert result.stdout == ""
 
 
-def test_gen_data_non_finite_spec_rejected(tmp_path):
+@pytest.mark.parametrize("settings, refusal", [
+    pytest.param("samples_per_class=2\nnoise_sigma=nan\n", "SyntheticSpec.noise_sigma", id="noise_sigma=nan"),
+    # a finite sigma whose draws overflow: the clips would be files the skeleton reader refuses
+    pytest.param("noise_sigma=1e308\nsamples_per_class=1\n",
+                 "synthetic clip 0 (class 0) has non-finite skeleton positions", id="noise_sigma=1e308"),
+])
+def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     spec = tmp_path / "gen.cfg"
-    spec.write_text("samples_per_class=2\nnoise_sigma=nan\n")
+    spec.write_text(settings)
     out = tmp_path / "data"
     result = run_cli("gen-data", "--spec", str(spec), "--out", str(out))
     assert result.returncode == 1
-    assert "SyntheticSpec.noise_sigma" in result.stderr
+    assert refusal in result.stderr
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -277,15 +283,20 @@ def test_sgd_l2_factor_at_or_below_zero_warns(workspace, tmp_path, command, sett
     assert "warning" not in result.stdout
 
 
-def test_unknown_config_key_rejected(workspace, tmp_path):
+@pytest.mark.parametrize("flag", ["--config", "--spec"])
+def test_unknown_config_key_rejected(workspace, tmp_path, flag):
     bad = tmp_path / "bad.cfg"
     bad.write_text("learning_rate=0.1\n")
-    result = run_cli(
-        "train", "--data", str(workspace / "data"), "--variant", "baseline",
-        "--config", str(bad), "--out", str(tmp_path / "x.ckpt"),
-    )
+    out = tmp_path / "out"
+    if flag == "--config":
+        what, argv = "training", ("train", "--data", str(workspace / "data"), "--variant", "baseline",
+                                  "--config", str(bad), "--out", str(out))
+    else:
+        what, argv = "generator", ("gen-data", "--spec", str(bad), "--out", str(out))
+    result = run_cli(*argv)
     assert result.returncode == 1
-    assert "learning_rate" in result.stderr
+    assert f"error: {bad}: unknown {what} keys ['learning_rate']; allowed: [" in result.stderr
+    assert not out.exists()
 
 
 def test_repeated_config_key_rejected(workspace, tmp_path):
@@ -303,15 +314,16 @@ def test_repeated_config_key_rejected(workspace, tmp_path):
     assert not ckpt.exists()
 
 
-def test_non_integer_epochs_in_config_rejected(workspace, tmp_path):
+@pytest.mark.parametrize("value, shown", [("3.0", "3.0"), ("true", "'true'")], ids=["epochs=3.0", "epochs=true"])
+def test_non_integer_epochs_in_config_rejected(workspace, tmp_path, value, shown):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("epochs=3.0\n")
+    bad.write_text(f"epochs={value}\n")
     result = run_cli(
         "train", "--data", str(workspace / "data"), "--variant", "baseline",
         "--config", str(bad), "--out", str(tmp_path / "x.ckpt"),
     )
     assert result.returncode == 1
-    assert "epochs" in result.stderr
+    assert f"TrainConfig.epochs must be an integer >= 1, got {shown}" in result.stderr
     assert not (tmp_path / "x.ckpt").exists()
 
 
@@ -365,10 +377,14 @@ def test_settings_file_with_a_byte_order_mark_reads_as_without(workspace, tmp_pa
 
 @pytest.mark.parametrize("flag", ["--config", "--spec"])
 def test_non_utf8_settings_file_is_named(workspace, tmp_path, flag):
-    bad = tmp_path / "latin1.cfg"
-    bad.write_bytes("seed=0\n# r\u00e9glage\n".encode("latin-1"))
-    with pytest.raises(ContractError, match=rf"^{bad}: not UTF-8 text \(byte 10: "):
-        cli.parse_kv_file(bad)
+    # the offset is the bad byte's in the file, past the decoder's 8 KB chunks and a BOM
+    long = b"#" + b"a" * 10000 + b"\n\xff"
+    for content, offset in [("seed=0\n# r\u00e9glage\n".encode("latin-1"), 10),
+                            (long, 10002), (codecs.BOM_UTF8 + long, 10005)]:
+        bad = tmp_path / "not_utf8.cfg"
+        bad.write_bytes(content)
+        with pytest.raises(ContractError, match=rf"^{bad}: not UTF-8 text \(byte {offset}: "):
+            cli.parse_kv_file(bad)
     out = tmp_path / "out"
     if flag == "--config":
         argv = ("train", "--data", str(workspace / "data"), "--variant", "baseline",
