@@ -169,10 +169,11 @@ def cmd_gen_data(args):
     clip = next((path for suffix in (".skl", ".ftr") for path in out.glob(f"*{suffix}")), None)
     if clip is not None:
         raise ContractError(f"{out} already holds clips ({clip}); write the dataset to a new directory")
+    clips = generate_raw(spec)  # before the mkdir: a spec the generator refuses leaves no directory
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
     files = []
-    for index, (skeleton, features) in enumerate(generate_raw(spec)):
+    for index, (skeleton, features) in enumerate(clips):
         stem = f"sample_{index:05d}_c{skeleton.label}"
         write_skeleton_file(out / f"{stem}.skl", skeleton)
         write_feature_file(out / f"{stem}.ftr", features)

@@ -8,6 +8,10 @@ File formats (little-endian throughout):
 Both, and `model`'s CKP2 checkpoints, go through one container writer and
 reader, `write_container` and `read_container`.
 
+Values are checked for finiteness once, where they enter: by `read_container`
+for files and by `generate_raw` for synthetic clips. The clip records
+`RawSkeletonSample` and `FrameFeatureSequence` check only their own layout.
+
 Preprocessing follows the recipe: pick 20 equally spaced frames, move every
 subject's joints to spine-centered coordinates, and divide by the sequence
 mean joint-to-spine distance so scale is normalized too.
@@ -65,8 +69,6 @@ class FrameFeatureSequence:
             raise ContractError(
                 f"feature width must be {FEATURE_WIDTH}, got shape {self.features.shape}"
             )
-        if not np.isfinite(self.features).all():
-            raise ContractError("feature sequence contains non-finite values")
 
 
 @dataclass
@@ -132,29 +134,21 @@ def normalize_positions(positions, spine_index):
     return centered / scale
 
 
-def normalize_spine(sample):
-    """Per-subject normalization; subjects are concatenated on the joint axis.
-
-    Returns [T_raw, subjects*J, 3].
-    """
-    parts = [
-        normalize_positions(sample.positions[:, s], sample.spine_index)
-        for s in range(sample.subjects)
-    ]
+def _normalize_subjects(positions, spine_index):
+    """Per-subject normalization of [T, subjects, J, 3]; subjects are concatenated on the joint axis."""
+    parts = [normalize_positions(positions[:, s], spine_index) for s in range(positions.shape[1])]
     return np.concatenate(parts, axis=1)
+
+
+def normalize_spine(sample):
+    """Per-subject normalization of a whole clip; returns [T_raw, subjects*J, 3]."""
+    return _normalize_subjects(sample.positions, sample.spine_index)
 
 
 def preprocess_skeleton(sample, target=TARGET_FRAMES):
     """Frame sampling then normalization; yields the network's [target, J_eff, 3] pose."""
     indices = sample_frames(sample.positions.shape[0], target)
-    clipped = RawSkeletonSample(
-        sample.positions[indices],
-        sample.joints_per_subject,
-        sample.subjects,
-        sample.spine_index,
-        sample.label,
-    )
-    return normalize_spine(clipped)
+    return _normalize_subjects(sample.positions[indices], sample.spine_index)
 
 
 def preprocess_features(fseq, target=TARGET_FRAMES):
@@ -193,16 +187,17 @@ def generate_raw(spec):
         for _ in range(spec.samples_per_class):
             noise = rng.normal(scale=spec.noise_sigma, size=clean.shape) if spec.noise_sigma > 0 else 0.0
             positions = (clean + noise)[:, None, :, :]  # single subject
-            if not np.isfinite(positions).all():
-                raise ContractError(f"synthetic clip {len(out)} (class {label}) has non-finite skeleton positions")
-            skeleton = RawSkeletonSample(positions, spec.joints, 1, spec.spine_index, label)
             feat_noise = (
                 rng.normal(scale=spec.rgb_noise_sigma, size=(spec.frames, FEATURE_WIDTH))
                 if spec.rgb_noise_sigma > 0
                 else np.zeros((spec.frames, FEATURE_WIDTH))
             )
-            features = FrameFeatureSequence(centroid[None] + feat_noise, label)
-            out.append((skeleton, features))
+            features = centroid[None] + feat_noise
+            for values, what in ((positions, "skeleton positions"), (features, "RGB features")):
+                if not np.isfinite(values).all():
+                    raise ContractError(f"synthetic clip {len(out)} (class {label}) has non-finite {what}")
+            out.append((RawSkeletonSample(positions, spec.joints, 1, spec.spine_index, label),
+                        FrameFeatureSequence(features, label)))
     return out
 
 
@@ -327,7 +322,4 @@ def write_feature_file(path, fseq):
 
 def load_feature_file(path):
     (frames, label), payload = read_container(path, _FTR_MAGIC, 12, _feature_header)
-    # read_container has checked the width and every value: skip the constructor's second pass
-    fseq = object.__new__(FrameFeatureSequence)
-    fseq.features, fseq.label = payload.reshape(frames, FEATURE_WIDTH), label
-    return fseq
+    return FrameFeatureSequence(payload.reshape(frames, FEATURE_WIDTH), label)

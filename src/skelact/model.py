@@ -72,6 +72,7 @@ def variant_config(name, branch="pose"):
 
 @dataclass
 class ModelDims:
+    # no flag sets frames, rgb_width, hidden or stream: verify.model_dims and CKP2 manifests do
     frames: int = TARGET_FRAMES
     joints: int = 25
     rgb_width: int = FEATURE_WIDTH

@@ -50,7 +50,7 @@ class StreamConfig:
     seu_filters: tuple = (32, 48, 64)
     teu_filters: tuple = (32, 48, 64)
     post_filters: tuple = (96, 112, 120)
-    activations: tuple = ("relu", "relu", "linear")
+    activations: tuple = ("relu", "relu", "linear")  # set only by verify.SMOOTH_STREAM and the acceptance suite
 
     def __post_init__(self):
         for name in ("seu_filters", "teu_filters", "post_filters", "activations"):

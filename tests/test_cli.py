@@ -112,6 +112,8 @@ def test_gen_data_missing_out_is_usage_error():
     # a finite sigma whose draws overflow: the clips would be files the skeleton reader refuses
     pytest.param("noise_sigma=1e308\nsamples_per_class=1\n",
                  "synthetic clip 0 (class 0) has non-finite skeleton positions", id="noise_sigma=1e308"),
+    pytest.param("rgb_noise_sigma=1e308\nsamples_per_class=1\n",
+                 "synthetic clip 0 (class 0) has non-finite RGB features", id="rgb_noise_sigma=1e308"),
 ])
 def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     spec = tmp_path / "gen.cfg"
@@ -120,7 +122,7 @@ def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     result = run_cli("gen-data", "--spec", str(spec), "--out", str(out))
     assert result.returncode == 1
     assert refusal in result.stderr
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_train_eval_inspect_round_trip(workspace):

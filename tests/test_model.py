@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import skelact.autodiff as ad
-from skelact import model
+from skelact import model, verify
 from skelact.attention import multi_head_self_attention
 from skelact.data import COORDS
 from skelact.errors import ContractError, DimensionError, ParseError
@@ -25,7 +25,8 @@ from skelact.model import (
     save_checkpoint,
     variant_config,
 )
-from skelact.streams import StreamConfig
+from skelact.recurrent import bilstm
+from skelact.streams import StreamConfig, seu_encode, stream_forward, teu_encode
 from skelact.training import cross_entropy
 from skelact.verify import check_named
 
@@ -216,6 +217,28 @@ def test_rgb_attention_residual_is_permutation_equivariant():
     out = residual(x)
     out_perm = residual(x[perm])
     np.testing.assert_allclose(out_perm, out[perm], atol=1e-10)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["clip", "batch"])
+def test_branches_compose_their_modules_in_order(lead):
+    """Each branch is its modules in order: spatial rows before temporal, residual attention, BiLSTM."""
+    dims = verify.model_dims()
+    params = build_variant(variant_config("full", branch="both"), dims, seed=4)
+    rng = np.random.default_rng(4)
+    pose = ad.Tensor(rng.normal(size=(*lead, dims.frames, dims.joints, COORDS)))
+    features = ad.Tensor(rng.normal(size=(*lead, dims.frames, dims.rgb_width)))
+    acts = dims.stream.activations
+
+    def tail(x, t):
+        return bilstm(ad.Tensor(x.data + multi_head_self_attention(x, t.attention).data), t.lstm_fwd, t.lstm_bwd)
+
+    with ad.no_grad():
+        branch = params.pose
+        spatial = stream_forward(seu_encode(pose, branch.spatial_enc, acts), branch.spatial_stream, acts)
+        temporal = stream_forward(teu_encode(pose, branch.temporal_enc, acts), branch.temporal_stream, acts)
+        x = ad.Tensor(np.concatenate([spatial.data, temporal.data], axis=-2))
+        np.testing.assert_array_equal(pose_branch(pose, params).data, tail(x, branch.tail).data)
+        np.testing.assert_array_equal(rgb_branch(features, params).data, tail(features, params.rgb).data)
 
 
 # ---------------------------------------------------------------------------
