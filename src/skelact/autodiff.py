@@ -38,6 +38,10 @@ from .errors import ContractError, DimensionError
 
 _grad_enabled = True
 
+# bytes per cache line: where `aligned_empty` starts an array, and where a
+# CKP2 writer starts its payload so that the reader can map it (`data.read_container`)
+CACHE_LINE = 64
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -113,7 +117,7 @@ class Tensor:
 
 
 def aligned_empty(shape):
-    """An uninitialised float64 array of `shape` whose first element starts a 64-byte cache line.
+    """An uninitialised float64 array of `shape` whose first element starts a `CACHE_LINE`-byte line.
 
     The owning buffer (the result's `.base`) holds 7 more elements, and the
     result is the C-contiguous slice of it that starts on a line. Placement
@@ -123,8 +127,8 @@ def aligned_empty(shape):
     """
     shape = shape if isinstance(shape, tuple) else (shape,)
     count = math.prod(shape)
-    raw = np.empty(count + 7)
-    skip = (-raw.ctypes.data % 64) // 8
+    raw = np.empty(count + CACHE_LINE // 8 - 1)
+    skip = (-raw.ctypes.data % CACHE_LINE) // 8
     return raw[skip:][:count].reshape(shape)  # two slices: an empty raw[skip:skip] points at raw's start
 
 

@@ -8,6 +8,18 @@ File formats (little-endian throughout):
 Both, and `model`'s CKP2 checkpoints, go through one container writer and
 reader, `write_container` and `read_container`.
 
+The reader reads a payload that does not start a cache line of its file
+(SKL1's starts at byte 24, FTR1's at byte 16) into a new aligned array: for a
+clip file of tens of KB that costs less than a map. A payload that starts a
+multiple of `CACHE_LINE` bytes into the file (CKP2's, which the writer pads
+its manifest for) is mapped copy-on-write instead, so a 93 MiB checkpoint is
+not copied, and the returned array is a writable view of that private map
+that starts a cache line just as an aligned copy does. Writing to it changes
+the process's pages, never the file. The map holds the file open for as long
+as an array views it, so a file some process may have loaded must be
+replaced (as `write_container` does, by a rename), never rewritten in place:
+a shrunk file would fault the process that maps it.
+
 Values are checked for finiteness once, where they enter: by `read_container`
 for files and by `generate_raw` for synthetic clips. The clip records
 `RawSkeletonSample` and `FrameFeatureSequence` check only their own layout.
@@ -20,13 +32,15 @@ mean joint-to-spine distance so scale is normalized too.
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import aligned_empty
+from .autodiff import CACHE_LINE, aligned_empty
 from .errors import ContractError, ParseError, require_finite, require_integer
 
 FEATURE_WIDTH = 1536
@@ -120,7 +134,7 @@ def sample_frames(length, target=TARGET_FRAMES):
     if target == 1:
         return [0]
     step = (length - 1) / (target - 1)
-    return [int(np.floor(i * step + 0.5)) for i in range(target)]
+    return [math.floor(i * step + 0.5) for i in range(target)]
 
 
 def normalize_positions(positions, spine_index):
@@ -245,7 +259,11 @@ def read_container(path, magic, header_size, parse_header):
     bytes, or raises ParseError naming `what` if the file is shorter. The
     payload follows whatever was read, must end the file exactly and must
     hold only finite values. Its length is checked against the file's size
-    before it is allocated, and it is read straight into the returned array.
+    before it is allocated or mapped. A payload that starts a multiple of
+    `CACHE_LINE` bytes into the file is a view of a copy-on-write map of the
+    file, whose length is checked too, and which stays open while the array
+    lives: replace such a file, never rewrite it in place (module docstring).
+    Any other payload is read straight into a new aligned array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -271,13 +289,20 @@ def read_container(path, magic, header_size, parse_header):
             raise ParseError(f"{path}: payload truncated at byte offset {size}, it ends at {end}")
         if end < size:
             raise ParseError(f"{path}: {size - end} trailing bytes at byte offset {end}")
-        payload = aligned_empty(count).view("<f8")
-        got = fh.readinto(payload)
-        # the file may have changed size since fstat: never hand out unread memory
+        # the file may have changed size since fstat: check what the map or the read got
+        mapped = count > 0 and offset % CACHE_LINE == 0
+        if mapped:
+            view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            got = len(view) - offset
+        else:
+            payload = aligned_empty(count).view("<f8")
+            got = fh.readinto(payload) + len(fh.read(1))  # a byte past the payload: the file grew
         if got < 8 * count:
             raise ParseError(f"{path}: payload truncated at byte offset {offset + got}, it ends at {end}")
-        if fh.read(1):
+        if got > 8 * count:
             raise ParseError(f"{path}: trailing bytes at byte offset {end}")
+        if mapped:
+            payload = np.frombuffer(view, "<f8", count, offset)
     finite = np.isfinite(payload)
     if not finite.all():
         raise ParseError(f"{path}: non-finite value at byte offset {offset + 8 * int(np.argmin(finite))}")

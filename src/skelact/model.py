@@ -302,6 +302,12 @@ _MANIFEST_KEYS = {"ablation", "dims", "seed", "tensors"}
 
 
 def save_checkpoint(path, params):
+    """Write `params` as a CKP2 file; the manifest's trailing spaces start the payload on a cache line.
+
+    The padding lies inside the declared manifest length, and JSON allows
+    it, so any CKP2 reader parses the file. `load_checkpoint` maps a payload
+    so placed instead of copying it.
+    """
     manifest = {
         "ablation": asdict(params.ablation),
         "dims": asdict(params.dims),
@@ -309,6 +315,7 @@ def save_checkpoint(path, params):
         "tensors": [(name, list(tensor.data.shape)) for name, tensor in params.named_parameters()],
     }
     blob = json.dumps(manifest).encode("utf-8")
+    blob += b" " * (-(len(_CKPT_MAGIC) + 4 + len(blob)) % ad.CACHE_LINE)
     header = struct.pack("<I", len(blob)) + blob
     write_container(path, _CKPT_MAGIC, header, [tensor.data for tensor in params.tensors()])
 
@@ -346,7 +353,15 @@ def load_checkpoint(path):
     anything is built. The variant's structure is then built with every
     tensor left unwritten, and the manifest's tensor list must equal the
     build's, names, shapes and order. Each tensor's data becomes its
-    C-contiguous slice of the one payload array the file was read into.
+    C-contiguous slice of the one payload array.
+
+    A payload that `save_checkpoint` placed on a cache line is not copied:
+    the array is a writable view of a copy-on-write map of the file (see
+    `data.read_container`), and the loaded model keeps the file open and
+    mapped while it lives. So while a process holds a checkpoint, replace
+    its file (as `save_checkpoint` does, by a rename), never rewrite it in
+    place. A checkpoint written before that padding is read into an owned,
+    aligned array, with the same values.
     """
     (ablation, dims, seed, entries), payload = read_container(path, _CKPT_MAGIC, 4, _checkpoint_header)
     try:

@@ -1,8 +1,10 @@
 import json
+import mmap
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,17 +514,68 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
+def _mapped_file(array):
+    """The map at the end of `array`'s base chain (numpy holds it through a memoryview), else None."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    base = array.base.obj if isinstance(array.base, memoryview) else array.base
+    return base if isinstance(base, mmap.mmap) else None
+
+
 def test_loaded_tensors_are_views_of_one_payload(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, build_variant(variant_config("full", "both"), tiny_dims(), seed=3))
     tensors = load_checkpoint(path).tensors()
-    # the payload's owner is its cache-line-aligned buffer, up to 7 elements longer
+    # the payload views the file's map, past the header, and holds exactly the tensors
     payload = tensors[0].data.base
-    assert payload.flags.owndata and 0 <= payload.size - sum(t.size for t in tensors) <= 7
+    assert _mapped_file(payload) is not None and payload.size == sum(t.size for t in tensors)
     assert tensors[0].data.ctypes.data % 64 == 0
     for t in tensors:
         assert not t.data.flags.owndata and np.shares_memory(t.data, payload)
         assert t.data.flags.c_contiguous and t.data.flags.writeable
+
+
+def test_checkpoint_without_manifest_padding_is_read_into_an_owned_aligned_payload(tmp_path):
+    # a CKP2 file written before the writer padded its manifest: the payload starts off a cache line
+    params = build_variant(variant_config("full"), ModelDims(), seed=0)
+    padded, unpadded = tmp_path / "padded.ckpt", tmp_path / "unpadded.ckpt"
+    save_checkpoint(padded, params)
+    save_checkpoint(unpadded, params)
+    _rewrite_manifest(unpadded, lambda manifest: manifest)
+    length = struct.unpack("<I", unpadded.read_bytes()[4:8])[0]
+    assert (8 + length) % 64 != 0 and unpadded.stat().st_size < padded.stat().st_size
+    tensors = load_checkpoint(unpadded).tensors()
+    # read, not mapped: the owner is an aligned_empty buffer, up to 7 elements longer than the payload
+    payload = tensors[0].data.base
+    assert payload.flags.owndata and 0 <= payload.size - sum(t.size for t in tensors) <= 7
+    for built, mapped, read in zip(params.tensors(), load_checkpoint(padded).tensors(), tensors):
+        assert read.data.tobytes() == built.data.tobytes() == mapped.data.tobytes()
+        assert read.data.ctypes.data % 64 == 0 and np.shares_memory(read.data, payload)
+
+
+def test_a_loaded_checkpoint_survives_a_save_onto_its_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    old = build_variant(variant_config("full", "both"), tiny_dims(), seed=3)
+    new = build_variant(variant_config("full", "both"), tiny_dims(), seed=4)
+    save_checkpoint(path, old)
+    loaded = load_checkpoint(path)
+    assert _mapped_file(loaded.tensors()[0].data) is not None
+    # the save renames a new file onto the path, so the mapped file, and what the load holds, stay as they were
+    save_checkpoint(path, new)
+    held, reloaded = dict(loaded.named_parameters()), dict(load_checkpoint(path).named_parameters())
+    for name, tensor in old.named_parameters():
+        np.testing.assert_array_equal(held[name].data, tensor.data, err_msg=name)
+    for name, tensor in new.named_parameters():
+        np.testing.assert_array_equal(reloaded[name].data, tensor.data, err_msg=name)
+
+
+def test_writes_to_a_loaded_tensor_never_reach_its_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build_variant(variant_config("full", "both"), tiny_dims(), seed=3))
+    blob = path.read_bytes()
+    for t in load_checkpoint(path).tensors():
+        t.data += 1.0  # the map is copy-on-write: a page written becomes the process's own
+    assert path.read_bytes() == blob
 
 
 def test_checkpoint_load_then_save_gives_the_same_bytes(tmp_path):
@@ -541,17 +594,50 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
-def test_checkpoint_load_peak_memory_is_near_the_file_size(tmp_path):
-    # The payload is read once into the array the tensors view. A weight draw
-    # into the build, or a bytes copy of the file, would each add about 1x.
-    path = tmp_path / "full.ckpt"
+@pytest.fixture(scope="module")
+def default_both_checkpoint(tmp_path_factory):
+    """The default `full` both-branch checkpoint: 12.3 M parameters, a 93 MiB file."""
+    path = tmp_path_factory.mktemp("default") / "full.ckpt"
     save_checkpoint(path, build_variant(variant_config("full", "both"), ModelDims(), seed=0))
-    size = path.stat().st_size
-    run = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, str(path)], capture_output=True, text=True,
+    return path
+
+
+def _growth_on_load(script, path):
+    run = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert run.returncode == 0, run.stderr
-    grown = 1024 * int(run.stdout)  # ru_maxrss is in KiB on Linux
+    return 1024 * int(run.stdout)  # both counts are in KiB on Linux
+
+
+def test_checkpoint_load_peak_memory_is_near_the_file_size(default_both_checkpoint):
+    # The payload is mapped, and its pages count once they are read. A weight
+    # draw into the build, or a bytes copy of the file, would each add about 1x.
+    size = default_both_checkpoint.stat().st_size
+    grown = _growth_on_load(_PEAK_GROWTH, default_both_checkpoint)
     assert grown < 1.5 * size, f"peak RSS grew by {grown} bytes loading a {size}-byte checkpoint"
+
+
+_ANON_GROWTH = """
+import re, sys
+from skelact.model import load_checkpoint
+def anon():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"RssAnon:\\s+(\\d+) kB", fh.read()).group(1))
+before = anon()
+params = load_checkpoint(sys.argv[1])
+print(anon() - before)
+"""
+
+
+def test_checkpoint_load_makes_no_anonymous_copy(default_both_checkpoint):
+    # A copy of the payload would grow RssAnon by the file size; the copy-on-write
+    # map's pages are the file's own until a tensor is written.
+    status = Path("/proc/self/status")
+    if not (status.exists() and "RssAnon:" in status.read_text()):
+        pytest.skip("no RssAnon in /proc/self/status")
+    size = default_both_checkpoint.stat().st_size
+    grown = _growth_on_load(_ANON_GROWTH, default_both_checkpoint)
+    assert grown < 0.1 * size, f"RssAnon grew by {grown} bytes loading a {size}-byte checkpoint"
 
 
 # ---------------------------------------------------------------------------
