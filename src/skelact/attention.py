@@ -46,14 +46,16 @@ def init_attention_params(rng, model_dim, heads=HEADS):
     if model_dim % heads != 0:
         raise ContractError(f"heads ({heads}) must divide model_dim ({model_dim})")
     w = model_dim // heads
-    stacked = [np.empty((model_dim, model_dim)) for _ in range(3)]
-    # draw order q_0, k_0, v_0, q_1, ...; each block goes straight into its
-    # columns, so building a wide layer holds no second copy of its weights;
-    # with rng None (a checkpoint load) they are left unwritten
+    w_q, w_k, w_v = (ad.parameter((model_dim, model_dim)) for _ in range(3))
+    # draw order q_0, k_0, v_0, q_1, ...; each head's block is drawn into one
+    # scratch block and copied into its columns, so building a wide layer holds
+    # no second copy of its weights; with rng None (a checkpoint load) they are
+    # left unwritten
+    block = np.empty((model_dim, w))
     for i in range(heads if rng is not None else 0):
-        for projection in stacked:
-            projection[:, i * w:(i + 1) * w] = ad.glorot_uniform(rng, (model_dim, w)).data
-    w_q, w_k, w_v = (ad.Tensor(projection, requires_grad=True) for projection in stacked)
+        for projection in (w_q, w_k, w_v):
+            ad.glorot_fill(rng, block)
+            projection.data[:, i * w:(i + 1) * w] = block
     return AttentionParams(heads, w_q, w_k, w_v, ad.glorot_uniform(rng, (model_dim, model_dim)))
 
 

@@ -641,22 +641,82 @@ def gradient_check(f, x):
     return float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
 
 
+# while `parameter_vector` is open: [the vector, the offset of its next free element]
+_vector = None
+
+
+@contextlib.contextmanager
+def parameter_vector(vector):
+    """Inside the block, every `parameter` is the next slice of the 1-D array `vector`.
+
+    Each slice starts a `CACHE_LINE`-byte line if `vector` does: a tensor's
+    slice is followed by zeros up to the next line. `vector_size` gives the
+    length a list of shapes needs. The block must use exactly that length.
+    """
+    global _vector
+    saved = _vector
+    _vector = [vector, 0]
+    try:
+        yield
+        if _vector[1] != vector.size:
+            raise ContractError(f"the build used {_vector[1]} of its vector's {vector.size} elements")
+    finally:
+        _vector = saved
+
+
+def _line_padded(count):
+    return -(-count // (CACHE_LINE // 8)) * (CACHE_LINE // 8)
+
+
+def vector_size(shapes):
+    """Elements of a `parameter_vector` that holds tensors of `shapes`, each starting a line."""
+    return sum(_line_padded(math.prod(shape)) for shape in shapes)
+
+
+def parameter(shape):
+    """A trainable tensor of `shape`, unwritten: a slice of the open `parameter_vector`, else its own array."""
+    if _vector is None:
+        return Tensor(np.empty(shape), requires_grad=True)
+    vector, start = _vector
+    count = math.prod(shape if isinstance(shape, tuple) else (shape,))
+    end = start + _line_padded(count)
+    vector[start + count:end] = 0.0
+    _vector[1] = end
+    return Tensor(vector[start:start + count].reshape(shape), requires_grad=True)
+
+
+def glorot_fill(rng, out):
+    """Fill `out` [..., D_in, D_out], C-contiguous, in place with uniform draws in +/- sqrt(6 / (fan_in + fan_out)):
+    fan_in = prod(shape[:-1]) and fan_out = prod(shape[:-2]) * D_out, so K*C_in and K*C_out for
+    a conv kernel [K, C_in, C_out] (Glorot & Bengio 2010).
+
+    The draws and bits are those of `rng.uniform(-limit, limit, out.shape)`,
+    which computes -limit + (limit - -limit) * r from the same doubles r.
+    """
+    shape = out.shape
+    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    rng.random(out=out)
+    out *= limit - -limit
+    out += -limit
+
+
 def glorot_uniform(rng, shape):
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)), as a trainable tensor of `shape`
-    [..., D_in, D_out]: fan_in = prod(shape[:-1]) and fan_out = prod(shape[:-2]) * D_out,
-    so K*C_in and K*C_out for a conv kernel [K, C_in, C_out] (Glorot & Bengio 2010).
+    """A trainable `parameter` of `shape`, filled by `glorot_fill`.
 
     With rng None nothing is drawn or written: the tensor holds uninitialised
     memory, for a checkpoint load to bind to its payload. `constant` and the
     modules' init functions treat rng None the same way.
     """
-    if rng is None:
-        return Tensor(np.empty(shape), requires_grad=True)
-    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+    t = parameter(shape)
+    if rng is not None:
+        glorot_fill(rng, t.data)
+    return t
 
 
 def constant(rng, shape, value):
-    """A trainable tensor filled with `value`; uninitialised when rng is None, as in `glorot_uniform`."""
-    return Tensor(np.empty(shape) if rng is None else np.full(shape, value), requires_grad=True)
+    """A trainable `parameter` filled with `value`; unwritten when rng is None, as in `glorot_uniform`."""
+    t = parameter(shape)
+    if rng is not None:
+        t.data.fill(value)
+    return t

@@ -175,12 +175,20 @@ def init_tail(component_rng, branch, width, hidden, use_attention):
 
 
 def build_variant(ablation, dims, seed=0):
-    """Construct and initialize exactly the sub-modules the variant needs."""
-    return _build(ablation, dims, seed, lambda component: _component_rng(seed, component))
+    """Construct and initialize exactly the sub-modules the variant needs.
+
+    Every tensor is a slice of one vector that the build allocates, in
+    `named_parameters()` order, each starting a cache line
+    (`ad.parameter_vector`), and each init draws straight into its slice. A
+    first pass builds the structure unwritten, for its shapes.
+    """
+    shapes = [t.shape for t in _build(ablation, dims, seed, lambda component: None).tensors()]
+    with ad.parameter_vector(ad.aligned_empty(ad.vector_size(shapes))):
+        return _build(ablation, dims, seed, lambda component: _component_rng(seed, component))
 
 
 def _build(ablation, dims, seed, component_rng):
-    """The variant's modules, each drawn from `component_rng(name)`.
+    """The variant's modules, each drawn from `component_rng(name)`, created in `named_parameters()` order.
 
     Where that returns None the tensors are allocated and left unwritten
     (see `ad.glorot_uniform`), for `load_checkpoint` to bind.
@@ -200,10 +208,10 @@ def _build(ablation, dims, seed, component_rng):
         spatial_enc = init_conv_stack(
             component_rng("pose.spatial.enc"), spatial_in, cfg.seu_filters, spatial_kernels
         )
+        spatial_stream = init_stream_params(component_rng("pose.spatial.stream"), spatial_width, cfg)
         temporal_enc = init_conv_stack(
             component_rng("pose.temporal.enc"), temporal_in, cfg.teu_filters, TEU_KERNELS
         )
-        spatial_stream = init_stream_params(component_rng("pose.spatial.stream"), spatial_width, cfg)
         temporal_stream = init_stream_params(component_rng("pose.temporal.stream"), temporal_width, cfg)
         tail = init_tail(component_rng, "pose", cfg.channel_dim, dims.hidden, ablation.use_attention)
         pose = PoseBranchParams(spatial_enc, temporal_enc, spatial_stream, temporal_stream, tail)

@@ -19,3 +19,17 @@ def conv1d_oracle(x, kern, bias):
                     acc += padded[t + kk, c] * kern[kk, c, f]
             out[t, f] = acc
     return out
+
+
+def preprocess_skeleton_oracle(positions, spine_index, target=20):
+    """One clip [T_raw, subjects, J, 3] to its [target, subjects*J, 3] pose, the recipe spelled out:
+    nearest equally spaced frames, then per subject spine-centered and divided by the mean
+    joint-to-spine distance."""
+    step = (positions.shape[0] - 1) / (target - 1)
+    frames = positions[[int(np.floor(i * step + 0.5)) for i in range(target)]]
+    parts = []
+    for s in range(frames.shape[1]):
+        centered = frames[:, s] - frames[:, s, spine_index:spine_index + 1]
+        scale = np.sqrt((centered ** 2).sum(axis=2)).mean()
+        parts.append(centered / scale)
+    return np.concatenate(parts, axis=1)

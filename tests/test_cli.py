@@ -10,7 +10,7 @@ import pytest
 
 from skelact import cli, verify
 from skelact.cli import load_dataset_dir, main
-from skelact.data import load_skeleton_file, write_skeleton_file
+from skelact.data import RawSkeletonSample, load_skeleton_file, preprocess_skeleton, write_skeleton_file
 from skelact.errors import ContractError
 from skelact.model import (
     BRANCH_VARIANTS,
@@ -23,6 +23,8 @@ from skelact.model import (
     variant_config,
 )
 from skelact.streams import StreamConfig
+
+from oracles import preprocess_skeleton_oracle
 
 SINGLE_THREAD = {
     "OMP_NUM_THREADS": "1",
@@ -114,6 +116,10 @@ def test_gen_data_missing_out_is_usage_error():
                  "synthetic clip 0 (class 0) has non-finite skeleton positions", id="noise_sigma=1e308"),
     pytest.param("rgb_noise_sigma=1e308\nsamples_per_class=1\n",
                  "synthetic clip 0 (class 0) has non-finite RGB features", id="rgb_noise_sigma=1e308"),
+    # finite coordinates whose squares overflow: train would refuse every clip's scale
+    pytest.param("amplitude=1e155\nsamples_per_class=1\n",
+                 "synthetic clip 0 (class 0) at amplitude=1e+155 has a degenerate skeleton: scale "
+                 "(mean joint distance from the spine) inf", id="amplitude=1e155"),
 ])
 def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     spec = tmp_path / "gen.cfg"
@@ -121,7 +127,7 @@ def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     out = tmp_path / "data"
     result = run_cli("gen-data", "--spec", str(spec), "--out", str(out))
     assert result.returncode == 1
-    assert refusal in result.stderr
+    assert refusal in result.stderr and "Warning" not in result.stderr, result.stderr
     assert not out.exists()
 
 
@@ -269,6 +275,45 @@ def test_train_names_the_file_of_a_degenerate_skeleton(workspace, tmp_path, dege
     assert result.returncode == 1
     assert f"error: {bad}: degenerate skeleton" in result.stderr, result.stderr
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def _mixed_layout_dir(directory):
+    """Skeleton files of two layouts with 10 effective joints each, interleaved, at frame
+    counts below, at and above the 20 sampled; returns their paths in load order."""
+    rng = np.random.default_rng(11)
+    layouts = [(1, 10, 3), (2, 5, 1), (2, 5, 4), (1, 10, 3), (2, 5, 1), (1, 10, 0), (2, 5, 1)]
+    paths = []
+    for index, ((subjects, joints, spine), frames) in enumerate(zip(layouts, (1, 7, 20, 33, 19, 64, 2))):
+        positions = rng.normal(size=(frames, subjects, joints, 3)) * (index + 1) + rng.normal(size=3)
+        paths.append(directory / f"clip_{index}.skl")
+        write_skeleton_file(paths[-1], RawSkeletonSample(positions, joints, subjects, spine, index % 3))
+    return paths
+
+
+def test_batched_poses_equal_the_per_clip_recipe_bit_for_bit(tmp_path):
+    paths = _mixed_layout_dir(tmp_path)
+    samples, joints_eff, num_classes = load_dataset_dir(tmp_path, True, False)
+    assert (joints_eff, num_classes, len(samples)) == (10, 3, len(paths))
+    for sample, path in zip(samples, paths):
+        raw = load_skeleton_file(path)
+        assert sample.label == raw.label and sample.features is None
+        np.testing.assert_array_equal(sample.pose, preprocess_skeleton_oracle(raw.positions, raw.spine_index),
+                                      err_msg=str(path))
+        np.testing.assert_array_equal(sample.pose, preprocess_skeleton(raw), err_msg=str(path))
+
+
+# clips 4 and 6 share a layout; clip 5's layout is normalized after theirs
+@pytest.mark.parametrize("bad", [[4], [6, 4], [6, 5]], ids=["one", "two-of-a-layout", "two-layouts"])
+def test_batched_loader_names_the_first_degenerate_skeleton(tmp_path, bad):
+    paths = _mixed_layout_dir(tmp_path)
+    for index in bad:
+        raw = load_skeleton_file(paths[index])
+        raw.positions[...] = raw.positions[:, :, raw.spine_index:raw.spine_index + 1]  # scale 0
+        write_skeleton_file(paths[index], raw)
+    with pytest.raises(ContractError) as info:
+        load_dataset_dir(tmp_path, True, False)
+    assert str(info.value).startswith(f"{paths[min(bad)]}: degenerate skeleton: scale "
+                                      "(mean joint distance from the spine) 0.0 ")
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import mmap
 import os
@@ -117,6 +118,27 @@ def test_late_fuse_time_axis_shapes():
     assert logits.data.shape == (2,)
     probs = ad.softmax(logits)
     assert abs(probs.data.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("variant,pose_share", [
+    ("baseline", 40 / 60), ("seu", 40 / 60),    # 20 spatial + 20 time rows beside 20 RGB frames
+    ("seu+teu", 84 / 104), ("full", 84 / 104),  # TEU's 64 learned-temporal rows for the 20 time rows
+], ids=["baseline", "seu", "seu+teu", "full"])
+def test_late_fusion_weights_each_branch_by_its_share_of_rows(variant, pose_share):
+    # the default frames and filters fix the row counts; a narrow RGB width keeps the build small
+    dims = ModelDims(rgb_width=64)
+    params = build_variant(variant_config(variant, "both"), dims, seed=5)
+    rng = np.random.default_rng(5)
+    with ad.no_grad():
+        for lead in ((), (2,)):
+            pose = ad.Tensor(rng.normal(size=(*lead, dims.frames, dims.joints, COORDS)))
+            features = ad.Tensor(rng.normal(size=(*lead, dims.frames, dims.rgb_width)))
+            p = pose_branch(pose, params).data.mean(axis=-2)
+            r = rgb_branch(features, params).data.mean(axis=-2)
+            fused = pose_share * p + (1.0 - pose_share) * r
+            want = fused @ params.classifier_w.data + params.classifier_b.data
+            got = forward(params, pose=pose, features=features, logits=True).data
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_zero_classifier_gives_uniform_probabilities():
@@ -256,6 +278,63 @@ def test_build_is_bit_reproducible():
         np.testing.assert_array_equal(a[name].data, b[name].data, err_msg=name)
     c = dict(build_variant(variant_config("full", "both"), dims, 43).named_parameters())
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
+
+
+# sha256 of every (name, shape, bytes) of each default-dims build, recorded when each
+# tensor was still drawn into its own array by `rng.uniform`
+FROZEN_BUILDS = {
+    ("pose", "baseline", 0): "18731ed8b5d4a911302831402da3afa9d743294b9115a6f4dee73cdc6be87655",
+    ("pose", "baseline", 1): "6f31e3592a410015a82294bc391ab777b7e4d7d02bb3746b729066a601db98a2",
+    ("pose", "seu", 0): "5f6e21fcbe920fa97bee16fa554ef576c71a2a41735ecaf37c6a6396cd0eca5b",
+    ("pose", "seu", 1): "11ce30eef2cade01b5b3865ee3e451bd4297af570043a5529ff3796669599a5e",
+    ("pose", "seu+teu", 0): "d954b72b79d6165daaec198c3cc9714dda4d30da44a3e5dffc9e2682e845384d",
+    ("pose", "seu+teu", 1): "7b2ef452142b4ee1c25af1cfb5871b93874146907cf59198c91cc40790abb1c4",
+    ("pose", "full", 0): "7b13ad3fb031d0d70a0ceadfd4271eef67e8e245f2c78fcbc979fb864c580d96",
+    ("pose", "full", 1): "c9f95229cf6fb6d683a05ce04b3a0999f91f0d9083cfc801c192e388aef3de5c",
+    ("rgb", "baseline", 0): "22591586f281c3ac3809d63c1183565c454e450812a9f228f46e632d1ac4cbbe",
+    ("rgb", "baseline", 1): "85a2878bb3e581fda4b3e9d8bc0e2f10dfa3460b89d01ffb15bbae9ec745afeb",
+    ("rgb", "full", 0): "e0085ad05dd041b71d088146582bcfe973984570dc71c85f83149d0c6abeac9e",
+    ("rgb", "full", 1): "af6878973dc641f420ff305af4a533dc43752fea28a1c151b2fcf5e0f16a1044",
+    ("both", "baseline", 0): "f8959349418590bac27071ee40d063382749f39a67d059ffd7e6b1260e4dab93",
+    ("both", "baseline", 1): "36fdd29948f2f323cc439b37f532c6fb115ac962148e805574916a1130ae2521",
+    ("both", "seu", 0): "6f523592ae52a5a426956450e93926b119660b67a10925a46249498e4bcd2963",
+    ("both", "seu", 1): "582747974aa76e742fc8b7fcd0b7bd1dd5806fc52b889a64e31ef1da2a4907c6",
+    ("both", "seu+teu", 0): "a08f90859e5c272fa0a4b215249f269e0f9d9a467ba903e63a18555faf70aad8",
+    ("both", "seu+teu", 1): "5847e25ba19d8827f624ea279ca6310d6c3f0eb9114de0c8273f78571342a154",
+    ("both", "full", 0): "060979cf6b0fcbbefb070cd34bb981ea005164fcf4705956c8cbd15c5597f268",
+    ("both", "full", 1): "1157f9ad19daf245b7166ce19f9781cac47ff985fcb385753dcd52388e1702fe",
+}
+
+
+def build_digest(params):
+    digest = hashlib.sha256()
+    for name, tensor in params.named_parameters():
+        digest.update(f"{name} {tensor.data.shape}\n".encode())
+        digest.update(tensor.data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("branch,variant,seed", list(FROZEN_BUILDS))
+def test_build_matches_its_frozen_digest(branch, variant, seed):
+    params = build_variant(variant_config(variant, branch), ModelDims(), seed)
+    assert build_digest(params) == FROZEN_BUILDS[branch, variant, seed]
+
+
+@pytest.mark.parametrize("branch", model.BRANCHES)
+def test_a_build_is_one_vector_of_line_aligned_tensors(branch):
+    # tiny dims: most tensor sizes are not a multiple of a line's 8 elements
+    builds = [build_variant(variant_config("full", branch), tiny_dims(), seed=0) for _ in range(2)]
+    for params in builds:
+        tensors = params.tensors()
+        vector = tensors[0].data.base
+        for t in tensors:
+            assert t.data.base is vector and not t.data.flags.owndata
+            assert t.data.flags.c_contiguous and t.data.ctypes.data % 64 == 0
+        # in named_parameters() order, each tensor followed by the rest of its last line
+        starts = [t.data.ctypes.data for t in tensors]
+        assert [b - a for a, b in zip(starts, starts[1:])] == [-(-t.data.nbytes // 64) * 64 for t in tensors[:-1]]
+        assert starts[-1] + tensors[-1].data.nbytes <= vector.ctypes.data + vector.nbytes
+    assert not np.shares_memory(builds[0].tensors()[0].data.base, builds[1].tensors()[0].data.base)
 
 
 # ---------------------------------------------------------------------------
