@@ -22,6 +22,7 @@ from .attention import HEADS
 from .autodiff import aligned_empty
 from .data import (
     COORDS,
+    FEATURE_WIDTH,
     TARGET_FRAMES,
     DegenerateSkeleton,
     Sample,
@@ -112,10 +113,10 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
     A clip is a stem listed with any suffix the run reads (`.skl` for pose, `.ftr`
     for RGB) and must be listed with each, in the order of its first suffix's file
     names. When both are read, a clip must carry one label in both. Each
-    skeleton's sampled frames go into one block as the file is read, and the
-    block is normalized in one pass after the last file, so a degenerate
-    skeleton is reported once every file has been read; each pose is a view of
-    the block.
+    modality is gathered into one block: a clip's sampled frames go into its
+    row as its file is read, and each pose and feature array is a view of its
+    block. The pose block is normalized in one pass after the last file, so a
+    degenerate skeleton is reported once every file has been read.
     """
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
@@ -129,7 +130,7 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
     poses = None  # [clips, TARGET_FRAMES, J_eff, COORDS]: each skeleton's sampled frames, as it is read
     layouts = []  # (subjects, spine index) of each clip, for the one normalizing pass
     frame_indices = {}  # raw frame count -> the indices of its sampled frames
-    features = []
+    features = aligned_empty((len(stems), TARGET_FRAMES, FEATURE_WIDTH)) if need_rgb else None
     labels = []
     for index, stem in enumerate(stems):
         paths = [files.get(stem) for files in listed]
@@ -160,9 +161,8 @@ def load_dataset_dir(data_dir, need_pose, need_rgb):
             fseq = load_feature_file(ftr_path)
             if need_pose and fseq.label != label:
                 raise ContractError(f"{path} has label {label} but {ftr_path} has label {fseq.label}")
-            features.append(preprocess_features(fseq))
+            preprocess_features(fseq, out=features[index])
             label = fseq.label
-            del fseq  # free the raw payload before the next clip's is read: 3 MB less peak RSS
         labels.append(label)
     if need_pose:
         try:

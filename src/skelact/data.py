@@ -30,8 +30,8 @@ Preprocessing follows the recipe: pick 20 equally spaced frames, move every
 subject's joints to spine-centered coordinates, and divide by the sequence
 mean joint-to-spine distance so scale is normalized too. `normalize_poses`
 does the last two steps for a whole block of clips in a few vectorized passes;
-a dataset loader gathers each clip's frames into one block as it reads the
-clip and then calls `preprocess_poses` once. The one-clip functions
+a dataset loader gathers each modality's clips into one block as it reads them
+and then calls `preprocess_poses` once on the poses. The one-clip functions
 (`normalize_positions`, `normalize_spine`, `preprocess_skeleton`) are the
 same pass over a block of one clip, so both give the same bits.
 """
@@ -234,9 +234,9 @@ def preprocess_skeleton(sample, target=TARGET_FRAMES):
     return _normalized(sample.positions[sample_frames(sample.positions.shape[0], target)], sample.spine_index)
 
 
-def preprocess_features(fseq, target=TARGET_FRAMES):
-    indices = sample_frames(fseq.features.shape[0], target)
-    return fseq.features[indices]
+def preprocess_features(fseq, target=TARGET_FRAMES, out=None):
+    """The clip's `target` sampled frames, written into `out` if given (mode="clip" writes there directly)."""
+    return np.take(fseq.features, sample_frames(fseq.features.shape[0], target), axis=0, out=out, mode="clip")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The learning rate follows inverse-time decay, lr/(1 + decay*step), with
 `step` counting completed optimizer steps. L2 regularization enters through
 the gradient (g + lambda*p) for both optimizers; `Sgd` and `Adam` share one
 constructor and one per-tensor walk over CHUNK-sized blocks and differ only in
-the per-block update. The parameters live in one vector (each tensor's data a
-view of its slice), and so do Adam's moments; gradients stay per tensor, each
-walked where backward left it. A gradient lives only inside a step: one
+the per-block update. Each tensor is updated in place (a model's tensors are
+slices of its one vector), Adam's moments in a vector each; gradients stay per
+tensor, walked where backward left it. A gradient lives only inside a step: one
 routine updates a tensor from its gradient and drops the gradient, whether
 `train` fuses the step into backward (a tensor updated as soon as its
 gradient is complete, as LOMO, Lv et al. 2023, does) or a whole `step()`
@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import COORDS
 from .errors import ContractError, require_finite, require_integer
-from .model import bind, forward, save_checkpoint
+from .model import forward, save_checkpoint
 
 EVAL_CHUNK = 16  # clips per no-grad forward pass when scoring validation or evaluation clips
 ADAM_BETAS = (0.9, 0.999)  # moment decay rates (Kingma & Ba 2015 defaults)
@@ -78,11 +78,12 @@ CHUNK = 32768
 
 
 class _Optimizer:
-    """L2 and inverse-time lr decay around a per-block update. The tensors' data is
-    copied into one vector `flat` and each `t.data` bound to its slice; a tensor's
-    update walks its gradient in CHUNK-sized blocks, updating the slices of `flat`
-    and of the state vectors named in `state` (zeros at construction) in place.
-    Every vector and scratch block starts a 64-byte cache line (`ad.aligned_empty`).
+    """L2 and inverse-time lr decay around a per-block update. A tensor's update
+    walks its gradient in CHUNK-sized blocks, writing the tensor's own data and
+    its slices of the state vectors named in `state` (zeros at construction) in
+    place. The tensors must not share memory; one that is not C-contiguous and
+    writable is rebound, at construction, to a copy that is. Every state vector
+    and scratch block starts a 64-byte cache line (`ad.aligned_empty`).
 
     The optimizer is always inside a step, whose `lr_t` the constructor or the
     step before fixes. `on_leaf` updates one tensor from its gradient and drops
@@ -100,17 +101,15 @@ class _Optimizer:
         self.l2 = l2_lambda
         self.decay = lr_decay
         self.steps = 0
-        self.flat = ad.aligned_empty(sum(t.size for t in self.tensors))
-        np.concatenate([np.ravel(t.data) for t in self.tensors], out=self.flat)
-        bind(self.tensors, self.flat)
+        for t in self.tensors:
+            t.data = np.require(t.data, requirements="CW")
         for name in self.state:
-            vector = ad.aligned_empty(self.flat.size)
+            vector = ad.aligned_empty(sum(t.size for t in self.tensors))
             vector.fill(0.0)
             setattr(self, name, vector)
-        self._vectors = [self.flat, *(getattr(self, name) for name in self.state)]
         self._scratch = (ad.aligned_empty(CHUNK), ad.aligned_empty(CHUNK))
         offsets = accumulate((t.size for t in self.tensors[:-1]), initial=0)
-        self._offset_of = {t.node: offset for t, offset in zip(self.tensors, offsets)}
+        self._at = {t.node: (t, offset) for t, offset in zip(self.tensors, offsets)}
         self._next_step()
 
     def _next_step(self):
@@ -121,9 +120,9 @@ class _Optimizer:
     def on_leaf(self, node):
         """Update the tensor of `node` from its complete gradient, then drop the
         gradient: `backward`'s leaf hook, and `step()`'s."""
-        offset = self._offset_of.get(node)
-        if offset is not None:
-            self._apply(offset, node.grad)
+        at = self._at.get(node)
+        if at is not None:
+            self._apply(*at, node.grad)
             node.grad = None
             self._pending -= 1
 
@@ -141,13 +140,13 @@ class _Optimizer:
             self.steps += 1
             self._next_step()
 
-    def _apply(self, offset, grad):
-        """Update the tensor at `offset` of `flat`, and its state, from `grad`."""
-        grad = grad.reshape(-1)
-        for start in range(0, grad.size, CHUNK):
-            block = slice(offset + start, offset + min(start + CHUNK, grad.size))
-            p, *state = (vec[block] for vec in self._vectors)
-            self._update(self._lr_t, p, grad[start:start + CHUNK], *state, *(b[:p.size] for b in self._scratch))
+    def _apply(self, t, offset, grad):
+        """Update `t.data` in place, and its state from `offset` on, from `grad`."""
+        p, grad = t.data.reshape(-1), grad.reshape(-1)
+        state = [getattr(self, name)[offset:offset + p.size] for name in self.state]
+        for start in range(0, p.size, CHUNK):
+            p_block, *rest = (vector[start:start + CHUNK] for vector in (p, grad, *state))
+            self._update(self._lr_t, p_block, *rest, *(b[:p_block.size] for b in self._scratch))
 
 
 class Sgd(_Optimizer):

@@ -10,7 +10,18 @@ import pytest
 
 from skelact import cli, verify
 from skelact.cli import load_dataset_dir, main
-from skelact.data import RawSkeletonSample, load_skeleton_file, preprocess_skeleton, write_skeleton_file
+from skelact.data import (
+    FEATURE_WIDTH,
+    FrameFeatureSequence,
+    RawSkeletonSample,
+    load_feature_file,
+    load_skeleton_file,
+    preprocess_features,
+    preprocess_skeleton,
+    sample_frames,
+    write_feature_file,
+    write_skeleton_file,
+)
 from skelact.errors import ContractError
 from skelact.model import (
     BRANCH_VARIANTS,
@@ -279,27 +290,51 @@ def test_train_names_the_file_of_a_degenerate_skeleton(workspace, tmp_path, dege
 
 def _mixed_layout_dir(directory):
     """Skeleton files of two layouts with 10 effective joints each, interleaved, at frame
-    counts below, at and above the 20 sampled; returns their paths in load order."""
+    counts below, at and above the 20 sampled, each with an RGB feature file beside it
+    whose frame counts also lie below, at and above 20; returns the skeleton paths in
+    load order."""
     rng = np.random.default_rng(11)
     layouts = [(1, 10, 3), (2, 5, 1), (2, 5, 4), (1, 10, 3), (2, 5, 1), (1, 10, 0), (2, 5, 1)]
+    skeleton_frames = (1, 7, 20, 33, 19, 64, 2)
+    feature_frames = (7, 1, 33, 20, 64, 2, 19)
     paths = []
-    for index, ((subjects, joints, spine), frames) in enumerate(zip(layouts, (1, 7, 20, 33, 19, 64, 2))):
+    for index, ((subjects, joints, spine), frames) in enumerate(zip(layouts, skeleton_frames)):
         positions = rng.normal(size=(frames, subjects, joints, 3)) * (index + 1) + rng.normal(size=3)
         paths.append(directory / f"clip_{index}.skl")
         write_skeleton_file(paths[-1], RawSkeletonSample(positions, joints, subjects, spine, index % 3))
+        features = rng.normal(size=(feature_frames[index], FEATURE_WIDTH))
+        write_feature_file(paths[-1].with_suffix(".ftr"), FrameFeatureSequence(features, index % 3))
     return paths
 
 
 def test_batched_poses_equal_the_per_clip_recipe_bit_for_bit(tmp_path):
     paths = _mixed_layout_dir(tmp_path)
-    samples, joints_eff, num_classes = load_dataset_dir(tmp_path, True, False)
-    assert (joints_eff, num_classes, len(samples)) == (10, 3, len(paths))
-    for sample, path in zip(samples, paths):
-        raw = load_skeleton_file(path)
-        assert sample.label == raw.label and sample.features is None
-        np.testing.assert_array_equal(sample.pose, preprocess_skeleton_oracle(raw.positions, raw.spine_index),
-                                      err_msg=str(path))
-        np.testing.assert_array_equal(sample.pose, preprocess_skeleton(raw), err_msg=str(path))
+    for need_pose, need_rgb in ((True, False), (True, True), (False, True)):
+        samples, joints_eff, num_classes = load_dataset_dir(tmp_path, need_pose, need_rgb)
+        assert (joints_eff, num_classes, len(samples)) == (10 if need_pose else None, 3, len(paths))
+        for sample, path in zip(samples, paths):
+            raw = load_skeleton_file(path)
+            assert sample.label == raw.label
+            if need_pose:
+                np.testing.assert_array_equal(sample.pose, preprocess_skeleton_oracle(raw.positions, raw.spine_index),
+                                              err_msg=str(path))
+                np.testing.assert_array_equal(sample.pose, preprocess_skeleton(raw), err_msg=str(path))
+            else:
+                assert sample.pose is None
+            if need_rgb:
+                fseq = load_feature_file(path.with_suffix(".ftr"))
+                np.testing.assert_array_equal(sample.features, preprocess_features(fseq), err_msg=str(path))
+                np.testing.assert_array_equal(sample.features, fseq.features[sample_frames(len(fseq.features))])
+            else:
+                assert sample.features is None
+        if need_rgb:
+            # each clip's features are its row of one block that starts a cache line
+            rows = [sample.features for sample in samples]
+            block = rows[0].base
+            assert all(row.base is block and row.flags.c_contiguous for row in rows)
+            starts = [row.ctypes.data for row in rows]
+            assert starts[0] % 64 == 0
+            assert [b - a for a, b in zip(starts, starts[1:])] == [rows[0].nbytes] * (len(rows) - 1)
 
 
 # clips 4 and 6 share a layout; clip 5's layout is normalized after theirs

@@ -30,7 +30,7 @@ from skelact.model import (
 )
 from skelact.recurrent import bilstm
 from skelact.streams import StreamConfig, seu_encode, stream_forward, teu_encode
-from skelact.training import cross_entropy
+from skelact.training import TrainConfig, cross_entropy, make_optimizer
 from skelact.verify import check_named
 
 
@@ -320,13 +320,40 @@ def test_build_matches_its_frozen_digest(branch, variant, seed):
     assert build_digest(params) == FROZEN_BUILDS[branch, variant, seed]
 
 
-@pytest.mark.parametrize("branch", model.BRANCHES)
-def test_a_build_is_one_vector_of_line_aligned_tensors(branch):
+def _one_adam_step(params, dims):
+    optimizer = make_optimizer(params, TrainConfig(optimizer="adam"))
+    rng = np.random.default_rng(5)
+    pose = features = None
+    if params.pose is not None:
+        pose = ad.Tensor(rng.normal(size=(2, dims.frames, dims.joints, COORDS)))
+    if params.rgb is not None:
+        features = ad.Tensor(rng.normal(size=(2, dims.frames, dims.rgb_width)))
+    loss = cross_entropy(forward(params, pose=pose, features=features, logits=True), np.array([0, 1]))
+    ad.backward(loss, on_leaf=optimizer.on_leaf)
+    optimizer.step()
+
+
+# what may follow the build: each must leave every tensor where the build put it
+AFTER_BUILD = {
+    "build": lambda params, dims: None,
+    "sgd": lambda params, dims: make_optimizer(params, TrainConfig(optimizer="sgd")),
+    "adam-step": _one_adam_step,
+}
+
+
+@pytest.mark.parametrize("branch,after", [
+    pytest.param(branch, after, id=branch if after == "build" else f"{branch}-{after}")
+    for after in AFTER_BUILD for branch in model.BRANCHES
+])
+def test_a_build_is_one_vector_of_line_aligned_tensors(branch, after):
     # tiny dims: most tensor sizes are not a multiple of a line's 8 elements
-    builds = [build_variant(variant_config("full", branch), tiny_dims(), seed=0) for _ in range(2)]
+    dims = tiny_dims()
+    builds = [build_variant(variant_config("full", branch), dims, seed=0) for _ in range(2)]
     for params in builds:
+        vector = params.tensors()[0].data.base
+        built = vector.copy()
+        AFTER_BUILD[after](params, dims)
         tensors = params.tensors()
-        vector = tensors[0].data.base
         for t in tensors:
             assert t.data.base is vector and not t.data.flags.owndata
             assert t.data.flags.c_contiguous and t.data.ctypes.data % 64 == 0
@@ -334,6 +361,7 @@ def test_a_build_is_one_vector_of_line_aligned_tensors(branch):
         starts = [t.data.ctypes.data for t in tensors]
         assert [b - a for a, b in zip(starts, starts[1:])] == [-(-t.data.nbytes // 64) * 64 for t in tensors[:-1]]
         assert starts[-1] + tensors[-1].data.nbytes <= vector.ctypes.data + vector.nbytes
+        assert np.array_equal(vector, built) == (after != "adam-step")  # a step writes into the vector
     assert not np.shares_memory(builds[0].tensors()[0].data.base, builds[1].tensors()[0].data.base)
 
 

@@ -1,5 +1,8 @@
-"""Damaged SKL1, FTR1 and CKP2 files: the loaders raise ParseError and nothing else."""
+"""Damaged SKL1, FTR1 and CKP2 files: the loaders raise ParseError and nothing else.
+Settings files (`--config`, `--spec`): any bytes build the dataclass or raise
+ContractError or ParseError, and a valid dataclass written out reads back equal."""
 
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -8,18 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelact import data
+from skelact import cli, data
 from skelact.data import (
     FrameFeatureSequence,
     RawSkeletonSample,
+    SyntheticSpec,
     load_feature_file,
     load_skeleton_file,
     write_feature_file,
     write_skeleton_file,
 )
-from skelact.errors import ParseError
+from skelact.errors import ContractError, ParseError
 from skelact.model import ModelDims, build_variant, load_checkpoint, save_checkpoint, variant_config
 from skelact.streams import StreamConfig
+from skelact.training import TrainConfig
 
 
 def tiny_checkpoint(path):
@@ -141,3 +146,78 @@ def test_file_resized_after_its_size_was_read_is_a_parse_error(name, change, ori
                 else f"trailing bytes at byte offset {len(blob)}")
     with pytest.raises(ParseError, match=re.escape(f"{path}: {expected}")):
         load(path)
+
+
+# ---------------------------------------------------------------------------
+# settings files
+
+
+SETTINGS = {"training": TrainConfig, "generator": SyntheticSpec}
+KEYS = sorted({field.name for cls in SETTINGS.values() for field in dataclasses.fields(cls)})
+# a value: a number as Python writes it, one the reader refuses or reads as a string, or any text
+VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "1_0", "\u0661\u0660", "nan", "-inf", "1e999", "-1", "true", "adam", "sgd", "0x10"]),
+    st.text(max_size=8),
+)
+LINES = st.one_of(st.tuples(st.sampled_from(KEYS) | st.text(max_size=4), VALUES).map("=".join),
+                  st.text(max_size=12))
+
+
+def settings_bytes(cls):
+    """Any bytes; lines of any keys and text; or one line for each of some of `cls`'s fields."""
+    own = st.dictionaries(st.sampled_from([field.name for field in dataclasses.fields(cls)]), VALUES)
+    lines = st.lists(LINES, max_size=6) | own.map(lambda pairs: [f"{key}={value}" for key, value in pairs.items()])
+    return st.binary(max_size=64) | st.tuples(lines, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans()).map(
+        lambda drawn: ("\ufeff" * drawn[2] + drawn[1].join(drawn[0])).encode("utf-8", "surrogatepass"))
+
+
+@pytest.fixture(scope="module")
+def settings_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("settings")
+
+
+@pytest.mark.parametrize("what", sorted(SETTINGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_settings_file_builds_or_raises_contract_or_parse_error(what, data, settings_dir):
+    path = settings_dir / f"{what}.cfg"
+    path.write_bytes(data.draw(settings_bytes(SETTINGS[what])))
+    try:
+        built = cli._settings(SETTINGS[what], path, None, what)
+    except (ContractError, ParseError):
+        return
+    assert type(built) is SETTINGS[what]
+
+
+@st.composite
+def valid_settings(draw, cls):
+    reals = st.floats(min_value=0.0, allow_infinity=False)
+    if cls is TrainConfig:
+        return TrainConfig(
+            optimizer=draw(st.sampled_from(["adam", "sgd"])), lr=draw(reals), lr_decay=draw(reals),
+            l2_lambda=draw(reals), batch_size=draw(st.integers(1, 2**70)), epochs=draw(st.integers(1, 2**70)),
+            seed=draw(st.integers(0, 2**70)), val_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        )
+    joints = draw(st.integers(2, 2**70))
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    return SyntheticSpec(
+        num_classes=draw(st.integers(2, 2**70)), samples_per_class=draw(st.integers(1, 2**70)), joints=joints,
+        frames=draw(st.integers(2, 2**70)), spine_index=draw(st.integers(0, joints - 1)),
+        base_frequency=draw(anything), frequency_gap=draw(anything), amplitude=draw(anything),
+        noise_sigma=draw(reals), rgb_noise_sigma=draw(reals), seed=draw(st.integers(0, 2**70)),
+    )
+
+
+@pytest.mark.parametrize("what", sorted(SETTINGS))
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_valid_settings_written_as_key_value_lines_read_back_equal(what, data, settings_dir):
+    cls = SETTINGS[what]
+    value = data.draw(valid_settings(cls))
+    lines = [f"{key}={item!r}" if not isinstance(item, str) else f"{key}={item}"
+             for key, item in dataclasses.asdict(value).items()]
+    path = settings_dir / f"{what}.roundtrip.cfg"
+    path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
+    assert cli._settings(cls, path, None, what) == value
