@@ -649,9 +649,9 @@ _vector = None
 def parameter_vector(vector):
     """Inside the block, every `parameter` is the next slice of the 1-D array `vector`.
 
-    Each slice starts a `CACHE_LINE`-byte line if `vector` does: a tensor's
-    slice is followed by zeros up to the next line. `vector_size` gives the
-    length a list of shapes needs. The block must use exactly that length.
+    The tensors lie back to back, unpadded, as in a CKP2 payload, and the block must use
+    the whole vector. A tensor starts a `CACHE_LINE`-byte line if the vector does and
+    the tensors before it fill whole lines.
     """
     global _vector
     saved = _vector
@@ -664,25 +664,16 @@ def parameter_vector(vector):
         _vector = saved
 
 
-def _line_padded(count):
-    return -(-count // (CACHE_LINE // 8)) * (CACHE_LINE // 8)
-
-
-def vector_size(shapes):
-    """Elements of a `parameter_vector` that holds tensors of `shapes`, each starting a line."""
-    return sum(_line_padded(math.prod(shape)) for shape in shapes)
-
-
 def parameter(shape):
-    """A trainable tensor of `shape`, unwritten: a slice of the open `parameter_vector`, else its own array."""
+    """A trainable tensor of `shape`, unwritten: the next slice of the open `parameter_vector`, else its own array."""
     if _vector is None:
         return Tensor(np.empty(shape), requires_grad=True)
     vector, start = _vector
-    count = math.prod(shape if isinstance(shape, tuple) else (shape,))
-    end = start + _line_padded(count)
-    vector[start + count:end] = 0.0
+    end = start + math.prod(shape if isinstance(shape, tuple) else (shape,))
+    if end > vector.size:
+        raise ContractError(f"the build runs past its vector's {vector.size} elements, to {end}")
     _vector[1] = end
-    return Tensor(vector[start:start + count].reshape(shape), requires_grad=True)
+    return Tensor(vector[start:end].reshape(shape), requires_grad=True)
 
 
 def glorot_fill(rng, out):
@@ -704,9 +695,8 @@ def glorot_fill(rng, out):
 def glorot_uniform(rng, shape):
     """A trainable `parameter` of `shape`, filled by `glorot_fill`.
 
-    With rng None nothing is drawn or written: the tensor holds uninitialised
-    memory, for a checkpoint load to bind to its payload. `constant` and the
-    modules' init functions treat rng None the same way.
+    With rng None nothing is drawn or written, as a structure pass or a checkpoint load inside its
+    payload needs; `constant` and the modules' init functions treat rng None the same way.
     """
     t = parameter(shape)
     if rng is not None:

@@ -63,12 +63,12 @@ def _coerce(value, where):
     return value
 
 
-def parse_kv_file(path):
+def parse_kv_file(path, first_line=None):
     """Flat UTF-8 key=value text, BOM skipped; '#' starts a comment, blank lines are skipped, a key may appear once.
     The file is decoded whole, so a non-UTF-8 byte is named by its offset in the file;
-    lines end at \n, \r\n or \r, as in a text-mode read."""
+    lines end at \n, \r\n or \r, as in a text-mode read. A dict `first_line` receives each key's line number."""
     pairs = {}
-    first_line = {}
+    first_line = {} if first_line is None else first_line
     try:
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
@@ -92,15 +92,25 @@ def parse_kv_file(path):
 
 def _settings(cls, path, seed, what):
     """`cls` built from the key=value file at `path`, if given, whose keys must be fields of
-    `cls`; a `seed` that is not None overrides the file's."""
-    pairs = parse_kv_file(path) if path else {}
+    `cls`; a `seed` that is not None overrides the file's. A value that `cls` refuses is
+    reported with `path` and the line of the key its message starts with (`cls.key`)."""
+    lines = {}
+    pairs = parse_kv_file(path, lines) if path else {}
     allowed = sorted(field.name for field in dataclasses.fields(cls))
     unknown = sorted(set(pairs) - set(allowed))
     if unknown:
         raise ContractError(f"{path}: unknown {what} keys {unknown}; allowed: {allowed}")
     if seed is not None:
         pairs["seed"] = seed
-    return cls(**pairs)
+        lines.pop("seed", None)
+    try:
+        return cls(**pairs)
+    except ContractError as exc:
+        if not path:
+            raise
+        key = str(exc).partition(" ")[0].removeprefix(f"{cls.__name__}.")
+        where = f"{path}:{lines[key]}" if key in lines else path
+        raise ContractError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -177,21 +177,21 @@ def init_tail(component_rng, branch, width, hidden, use_attention):
 def build_variant(ablation, dims, seed=0):
     """Construct and initialize exactly the sub-modules the variant needs.
 
-    Every tensor is a slice of one vector that the build allocates, in
-    `named_parameters()` order, each starting a cache line
-    (`ad.parameter_vector`), and each init draws straight into its slice. A
-    first pass builds the structure unwritten, for its shapes.
+    Every tensor is a slice of one cache-line-aligned vector that the build
+    allocates, back to back in `named_parameters()` order, as in a CKP2
+    payload (`ad.parameter_vector`), and each init draws straight into its
+    slice. A first pass builds the structure unwritten, for its size.
     """
-    shapes = [t.shape for t in _build(ablation, dims, seed, lambda component: None).tensors()]
-    with ad.parameter_vector(ad.aligned_empty(ad.vector_size(shapes))):
+    count = _build(ablation, dims, seed, lambda component: None).parameter_count()
+    with ad.parameter_vector(ad.aligned_empty(count)):
         return _build(ablation, dims, seed, lambda component: _component_rng(seed, component))
 
 
 def _build(ablation, dims, seed, component_rng):
     """The variant's modules, each drawn from `component_rng(name)`, created in `named_parameters()` order.
 
-    Where that returns None the tensors are allocated and left unwritten
-    (see `ad.glorot_uniform`), for `load_checkpoint` to bind.
+    Where that returns None the tensors are left unwritten (`ad.glorot_uniform`), for a structure
+    pass or a checkpoint load inside its payload.
     """
     cfg = dims.stream
     pose = None
@@ -355,13 +355,12 @@ def _checkpoint_header(path, head, read):
 
 
 def load_checkpoint(path):
-    """Rebuild the manifest's variant and bind its tensors to the payload, with no weight draw.
+    """Rebuild the manifest's variant inside the payload, with no weight draw.
 
     The payload length is checked against the manifest's shapes before
-    anything is built. The variant's structure is then built with every
-    tensor left unwritten, and the manifest's tensor list must equal the
-    build's, names, shapes and order. Each tensor's data becomes its
-    C-contiguous slice of the one payload array.
+    anything is built. The variant is then built inside the payload
+    (`ad.parameter_vector`), every tensor left unwritten as its slice of it,
+    and the manifest's tensor list must equal the build's, names, shapes and order.
 
     A payload that `save_checkpoint` placed on a cache line is not copied:
     the array is a writable view of a copy-on-write map of the file (see
@@ -373,22 +372,13 @@ def load_checkpoint(path):
     """
     (ablation, dims, seed, entries), payload = read_container(path, _CKPT_MAGIC, 4, _checkpoint_header)
     try:
-        params = _build(ablation, dims, seed, lambda component: None)
+        with ad.parameter_vector(payload):
+            params = _build(ablation, dims, seed, lambda component: None)
     except (TypeError, ValueError, MemoryError) as exc:
         raise ParseError(f"{path}: invalid manifest at byte offset 8 ({exc})") from None
-    named = list(params.named_parameters())
-    built = [[name, list(tensor.data.shape)] for name, tensor in named]
+    built = [[name, list(tensor.data.shape)] for name, tensor in params.named_parameters()]
     for index, (entry, expected) in enumerate(itertools.zip_longest(entries, built)):
         if entry != expected:
             raise ParseError(f"{path}: invalid manifest at byte offset 8 "
                              f"(tensor {index} is {entry}, the build has {expected})")
-    bind(params.tensors(), payload)
     return params
-
-
-def bind(tensors, flat):
-    """Rebind each tensor's data, in order, to its C-contiguous slice of the vector `flat`."""
-    start = 0
-    for t in tensors:
-        t.data = flat[start:start + t.data.size].reshape(t.data.shape)
-        start += t.data.size

@@ -61,7 +61,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
-            raise ContractError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+            raise ContractError(f"TrainConfig.optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.lr is None:
             self.lr = OPTIMIZERS[self.optimizer].default_lr
         for name in ("lr", "lr_decay", "l2_lambda", "val_fraction"):

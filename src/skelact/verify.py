@@ -70,6 +70,13 @@ OPS = {
     # swaps axes -3 and -2, so it runs only on the batch
     "transpose_heads": lambda t, o: ad.transpose(t, -3, -2),
 }
+# each differentiable operand an op case reads besides its input, checked with the input held
+# fixed; "dense.mat" is op case dense against operand mat; bound here, so dropping an OPS case keeps them
+OPERAND_CASES = {case: (OPS[case.split(".")[0]], case.split(".")[1]) for case in (
+    "add.other mul.other concat.other matmul.mat dense.mat dense.bias layer_norm.gain layer_norm.shift "
+    "conv1d_same.k3 conv1d_same.kbias conv1d_k1.k1 conv1d_k1.kbias conv1d_even_same_k2.k2 "
+    "conv1d_even_same_k2.kbias conv1d_even_same_k4.k4 conv1d_even_same_k4.kbias"
+).split()}
 
 
 def _away_from_kinks(rng, shape):
@@ -98,13 +105,15 @@ def op_suite(seed):
     operands = {name: ad.Tensor(rng.normal(size=shape)) for name, shape in OPERANDS.items()}
     x = ad.Tensor(_away_from_kinks(rng, (4, 5)))
     batch = ad.Tensor(_away_from_kinks(rng, (2, 4, 5)))
-    cases = [(name, op, x) for name, op in OPS.items() if name != "transpose_heads"]
-    cases += [(f"batched.{name}", OPS[name], batch) for name in BATCHED]
+    cases = [(name, op, None, x) for name, op in OPS.items() if name != "transpose_heads"]
+    cases += [(f"batched.{name}", OPS[name], None, batch) for name in BATCHED]
+    cases += [(name, op, key, operands[key]) for name, (op, key) in OPERAND_CASES.items()]
     results = []
-    for name, op, t in cases:
+    for name, op, key, t in cases:
         # each case's probe has a stream of its own, so dropping a case moves no other result
         probe_rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        results.append((name, ad.gradient_check(probed(probe_rng, lambda u: op(u, operands), t), t)))
+        f = (lambda u: op(u, operands)) if key is None else (lambda u: op(x, {**operands, key: u}))
+        results.append((name, ad.gradient_check(probed(probe_rng, f, t), t)))
     return results
 
 

@@ -409,6 +409,26 @@ def test_non_integer_epochs_in_config_rejected(workspace, tmp_path, value, shown
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("command, setting, seed, where, message", [
+    ("train", "lr=abc", (), ":2", "TrainConfig.lr must be a finite real >= 0, got 'abc'"),
+    ("gen-data", "joints=1", (), ":2", "SyntheticSpec.joints must be an integer >= 2, got 1"),
+    # a refused --seed is named with the file whose seed it overrides, and no line
+    ("gen-data", "seed=3", ("--seed", "-1"), "", "SyntheticSpec.seed must be an integer >= 0, got -1"),
+], ids=["train-lr", "gen-data-joints", "gen-data-seed-flag"])
+def test_refused_setting_names_its_file_and_line(workspace, tmp_path, command, setting, seed, where, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"# a comment\n{setting}\n")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ("train", "--data", str(workspace / "data"), "--variant", "baseline", "--config", str(bad))
+    else:
+        argv = ("gen-data", "--spec", str(bad))
+    result = run_cli(*argv, *seed, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {bad}{where}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", [
     "epochs=1_0", "lr=1_0.5", "batch_size=0_4",
     pytest.param("epochs=\u0661\u0660", id="epochs=arabic-indic-10"),
@@ -621,7 +641,10 @@ GRADCHECK_COMPONENTS = {
         "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same "
         "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "
         "batched.layer_norm batched.softmax batched.transpose batched.transpose_heads "
-        "batched.global_avg_pool batched.dense_no_bias"
+        "batched.global_avg_pool batched.dense_no_bias add.other mul.other concat.other matmul.mat "
+        "dense.mat dense.bias layer_norm.gain layer_norm.shift conv1d_same.k3 conv1d_same.kbias "
+        "conv1d_k1.k1 conv1d_k1.kbias conv1d_even_same_k2.k2 conv1d_even_same_k2.kbias "
+        "conv1d_even_same_k4.k4 conv1d_even_same_k4.kbias"
     ).split(),
     "module": (
         "attention.input attention.wq attention.wk attention.wv attention.wo "

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import mmap
 import os
@@ -341,28 +342,55 @@ AFTER_BUILD = {
 }
 
 
-@pytest.mark.parametrize("branch,after", [
-    pytest.param(branch, after, id=branch if after == "build" else f"{branch}-{after}")
-    for after in AFTER_BUILD for branch in model.BRANCHES
+@pytest.mark.parametrize("branch,source,after", [
+    pytest.param(branch, source, after, id="-".join(
+        [branch] + [part for part in (source, after) if part != "build"]))
+    for source in ("build", "load") for after in AFTER_BUILD for branch in model.BRANCHES
 ])
-def test_a_build_is_one_vector_of_line_aligned_tensors(branch, after):
-    # tiny dims: most tensor sizes are not a multiple of a line's 8 elements
+def test_a_build_is_one_vector_of_line_aligned_tensors(branch, source, after, tmp_path):
+    # tiny dims: most tensor sizes are not a multiple of a line's 8 elements, so here only the
+    # vector is known to start a line (the default-dims test below covers every tensor)
     dims = tiny_dims()
-    builds = [build_variant(variant_config("full", branch), dims, seed=0) for _ in range(2)]
-    for params in builds:
-        vector = params.tensors()[0].data.base
-        built = vector.copy()
+    models = [build_variant(variant_config("full", branch), dims, seed=0) for _ in range(2)]
+    payloads = [None, None]
+    if source == "load":
+        # a load's vector is the payload: the file's bytes after the manifest
+        for index, built in enumerate(models):
+            save_checkpoint(tmp_path / f"{index}.ckpt", built)
+            payloads[index] = (tmp_path / f"{index}.ckpt").read_bytes()[-8 * built.parameter_count():]
+        models = [load_checkpoint(tmp_path / f"{index}.ckpt") for index in range(2)]
+    spans = []
+    for params, payload in zip(models, payloads):
+        base = params.tensors()[0].data.base
+        built = np.concatenate([t.data.ravel() for t in params.tensors()])
+        assert payload is None or built.tobytes() == payload
         AFTER_BUILD[after](params, dims)
         tensors = params.tensors()
         for t in tensors:
-            assert t.data.base is vector and not t.data.flags.owndata
-            assert t.data.flags.c_contiguous and t.data.ctypes.data % 64 == 0
-        # in named_parameters() order, each tensor followed by the rest of its last line
+            assert t.data.base is base and not t.data.flags.owndata and t.data.flags.c_contiguous
+        # in named_parameters() order, back to back, from a line's start to the end of the vector,
+        # which aligned_empty's buffer or the mapped file ends within a line
         starts = [t.data.ctypes.data for t in tensors]
-        assert [b - a for a, b in zip(starts, starts[1:])] == [-(-t.data.nbytes // 64) * 64 for t in tensors[:-1]]
-        assert starts[-1] + tensors[-1].data.nbytes <= vector.ctypes.data + vector.nbytes
-        assert np.array_equal(vector, built) == (after != "adam-step")  # a step writes into the vector
-    assert not np.shares_memory(builds[0].tensors()[0].data.base, builds[1].tensors()[0].data.base)
+        assert [b - a for a, b in zip(starts, starts[1:])] == [t.data.nbytes for t in tensors[:-1]]
+        assert starts[0] % 64 == 0
+        end = starts[-1] + tensors[-1].data.nbytes
+        whole = np.frombuffer(base, np.uint8)
+        assert 0 <= whole.ctypes.data + whole.nbytes - end < 64
+        spans.append((starts[0], end))
+        # a step writes into the vector
+        assert np.array_equal(np.concatenate([t.data.ravel() for t in tensors]), built) == (after != "adam-step")
+    assert spans[0][1] <= spans[1][0] or spans[1][1] <= spans[0][0]
+
+
+def test_every_cli_build_puts_each_tensor_on_a_line(monkeypatch):
+    # the default dims a CLI build uses, over joint and class counts a dataset can give; the
+    # builds draw nothing, since only the layout is under test and a both-branch draw is slow
+    monkeypatch.setattr(model, "_component_rng", lambda seed, component: None)
+    for branch, variants in model.BRANCH_VARIANTS.items():
+        for variant, joints, classes in itertools.product(variants, (2, 25, 31), (2, 7)):
+            params = build_variant(variant_config(variant, branch), ModelDims(joints=joints, num_classes=classes))
+            misaligned = [name for name, t in params.named_parameters() if t.data.ctypes.data % 64]
+            assert not misaligned, (branch, variant, joints, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ ContractError or ParseError, and a valid dataclass written out reads back equal.
 
 import dataclasses
 import re
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelact import cli, data
@@ -186,7 +187,11 @@ def test_any_settings_file_builds_or_raises_contract_or_parse_error(what, data, 
     path.write_bytes(data.draw(settings_bytes(SETTINGS[what])))
     try:
         built = cli._settings(SETTINGS[what], path, None, what)
-    except (ContractError, ParseError):
+    except ParseError:
+        return
+    except ContractError as exc:
+        # every value here comes from the file's own lines, so the message names the file
+        assert str(exc).startswith(f"{path}:"), exc
         return
     assert type(built) is SETTINGS[what]
 
@@ -221,3 +226,44 @@ def test_valid_settings_written_as_key_value_lines_read_back_equal(what, data, s
     path = settings_dir / f"{what}.roundtrip.cfg"
     path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n")
     assert cli._settings(cls, path, None, what) == value
+
+
+# ---------------------------------------------------------------------------
+# generator closure: what gen-data writes, every branch loads
+
+
+# any finite real, with magnitudes whose squares, products or sines overflow drawn often
+EXTREME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e155, -1e155, 1e200, 1e308, -1e308])
+REAL_FIELDS = ("base_frequency", "frequency_gap", "amplitude", "noise_sigma", "rgb_noise_sigma")
+
+
+@st.composite
+def small_specs(draw):
+    """A small spec whose real fields are moderate but for up to two, which may take any finite value."""
+    joints = draw(st.integers(2, 6))
+    wild = draw(st.sets(st.sampled_from(REAL_FIELDS), max_size=2))
+    reals = {name: draw(EXTREME if name in wild else st.floats(-4.0, 4.0)) for name in REAL_FIELDS}
+    reals["noise_sigma"], reals["rgb_noise_sigma"] = abs(reals["noise_sigma"]), abs(reals["rgb_noise_sigma"])
+    return SyntheticSpec(
+        num_classes=draw(st.integers(2, 4)), samples_per_class=draw(st.integers(1, 2)), joints=joints,
+        frames=draw(st.integers(2, 40)), spine_index=draw(st.integers(0, joints - 1)),
+        seed=draw(st.integers(0, 2**32)), **reals,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=small_specs())
+# finite positions whose squared joint distances overflow: gen-data once wrote these, and train refused them
+@example(spec=SyntheticSpec(amplitude=1e155, samples_per_class=1))
+def test_gen_data_exits_1_leaving_nothing_or_writes_a_set_every_branch_loads(spec, settings_dir):
+    path = settings_dir / "closure.spec"
+    path.write_text("".join(f"{key}={value!r}\n" for key, value in dataclasses.asdict(spec).items()))
+    out = settings_dir / "closure"
+    shutil.rmtree(out, ignore_errors=True)
+    if cli.main(["gen-data", "--spec", str(path), "--out", str(out)]) != 0:
+        assert not out.exists()
+        return
+    for need_pose, need_rgb in ((True, False), (False, True), (True, True)):
+        samples, _, _ = cli.load_dataset_dir(out, need_pose, need_rgb)
+        assert len(samples) == spec.num_classes * spec.samples_per_class

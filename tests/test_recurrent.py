@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from skelact import autodiff as ad
 from skelact.errors import DimensionError
-from skelact.model import bind
 from skelact.recurrent import LstmParams, bilstm, init_lstm_params, lstm_forward
 from skelact.verify import check_named, probed
 
@@ -392,14 +391,16 @@ def test_bilstm_matches_frozen_reference(t_len, lead, d, h, seed):
 
 def bilstm_bits(values, offset, seq_data, upstream, h):
     """Output and every gradient of a bilstm whose six parameters are copied,
-    in order, into one vector that starts `offset` bytes past a cache line."""
+    in order, into one vector that starts `offset` bytes past a cache line,
+    and built unwritten inside it, as a checkpoint load builds in its payload."""
     total = sum(v.size for v in values)
     flat = ad.aligned_empty(total + 8)[offset // 8:offset // 8 + total]
     assert flat.ctypes.data % 64 == offset
     np.concatenate([v.ravel() for v in values], out=flat)
-    tensors = [ad.Tensor(np.empty(v.shape), requires_grad=True) for v in values]
-    bind(tensors, flat)
-    fwd, bwd = LstmParams(*tensors[:3]), LstmParams(*tensors[3:])
+    d = values[0].shape[0]
+    with ad.parameter_vector(flat):
+        fwd, bwd = init_lstm_params(None, d, h), init_lstm_params(None, d, h)
+    tensors = [tensor for params in (fwd, bwd) for _, tensor in params.named()]
     seq = ad.Tensor(seq_data, requires_grad=True)
     out = bilstm(seq, fwd, bwd)
     ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
