@@ -1,6 +1,8 @@
 """Damaged SKL1, FTR1 and CKP2 files: the loaders raise ParseError and nothing else.
 Settings files (`--config`, `--spec`): any bytes build the dataclass or raise
-ContractError or ParseError, and a valid dataclass written out reads back equal."""
+ContractError (naming the file) or ParseError, and a valid dataclass written out
+reads back equal. A small generator spec makes `gen-data` exit 1 and leave no
+`--out`, or write a set that every branch loads."""
 
 import dataclasses
 import re
