@@ -251,21 +251,7 @@ def relu(x):
     return _node(out, (x,), bw)
 
 
-def stable_sigmoid(z):
-    """Logistic function of an array, as (1 + tanh(z/2)) / 2: no overflow at any z."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def sigmoid(x):  # kept with tanh: verify.SMOOTH_STREAM's activations, kink-free for finite differences
-    s = stable_sigmoid(x.data)
-
-    def bw(g):
-        return (g * s * (1.0 - s),)
-
-    return _node(s, (x,), bw)
-
-
-def tanh(x):  # kept with sigmoid, for the same reason
+def tanh(x):  # kept as verify.SMOOTH_STREAM's activation: kink-free, so finite differences hold
     t = np.tanh(x.data)
 
     def bw(g):

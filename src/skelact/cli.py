@@ -31,12 +31,11 @@ from .data import (
     load_feature_file,
     load_skeleton_file,
     preprocess_features,
+    preprocess_skeleton,
     sample_frames,
     write_feature_file,
     write_skeleton_file,
 )
-# the dataset's one pose pass, bound under the name bench/spans.py times as data.preprocess_skeleton
-from .data import preprocess_poses as preprocess_skeleton
 from .errors import ContractError
 from .model import BRANCH_VARIANTS, BRANCHES, VARIANT_ROWS, ModelDims, build_variant, load_checkpoint, variant_config
 from .training import TrainConfig, evaluate, train

@@ -31,9 +31,10 @@ subject's joints to spine-centered coordinates, and divide by the sequence
 mean joint-to-spine distance so scale is normalized too. `normalize_poses`
 does the last two steps for a whole block of clips in a few vectorized passes;
 a dataset loader gathers each modality's clips into one block as it reads them
-and then calls `preprocess_poses` once on the poses. The one-clip functions
-(`normalize_positions`, `normalize_spine`, `preprocess_skeleton`) are the
-same pass over a block of one clip, so both give the same bits.
+and then calls `preprocess_skeleton` once on the poses, as `generate_raw` does
+on its clips' sampled frames. The one-clip functions (`normalize_positions`,
+`normalize_spine`) are the same pass over a block of one clip, so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def normalize_poses(poses, subjects, spine_index):
     by_subject /= scales[:, None, :, None, None]
 
 
-def preprocess_poses(poses, layouts):
+def preprocess_skeleton(poses, layouts):
     """Normalize in place a block [N, T, J_eff, COORDS] of clips whose (subjects, spine index) are `layouts`.
 
     The clips of each layout go through `normalize_poses` together. A
@@ -229,11 +230,6 @@ def normalize_spine(sample):
     return _normalized(sample.positions, sample.spine_index)
 
 
-def preprocess_skeleton(sample, target=TARGET_FRAMES):
-    """Frame sampling then normalization; yields the network's [target, J_eff, 3] pose."""
-    return _normalized(sample.positions[sample_frames(sample.positions.shape[0], target)], sample.spine_index)
-
-
 def preprocess_features(fseq, target=TARGET_FRAMES, out=None):
     """The clip's `target` sampled frames, written into `out` if given (mode="clip" writes there directly)."""
     return np.take(fseq.features, sample_frames(fseq.features.shape[0], target), axis=0, out=out, mode="clip")
@@ -265,7 +261,12 @@ def generate_raw(spec):
     for label in range(spec.num_classes):
         amplitude, phase, centroid = classes[label]
         freq = spec.base_frequency + label * spec.frequency_gap
-        angle = 2.0 * np.pi * freq * t_axis[:, None, None] + phase[None]
+        rate = 2.0 * np.pi * freq
+        if not math.isfinite(rate):  # refused before numpy would warn of inf * 0
+            raise ContractError(f"synthetic class {label} has frequency {freq!r} = base_frequency "
+                                f"{spec.base_frequency!r} + {label} * frequency_gap {spec.frequency_gap!r}, "
+                                "and 2*pi*frequency is not finite")
+        angle = rate * t_axis[:, None, None] + phase[None]
         clean = base[None] + amplitude[None] * np.sin(angle)
         for _ in range(spec.samples_per_class):
             noise = rng.normal(scale=spec.noise_sigma, size=clean.shape) if spec.noise_sigma > 0 else 0.0
@@ -279,20 +280,25 @@ def generate_raw(spec):
             for values, what in ((positions, "skeleton positions"), (features, "RGB features")):
                 if not np.isfinite(values).all():
                     raise ContractError(f"synthetic clip {len(out)} (class {label}) has non-finite {what}")
-            skeleton = RawSkeletonSample(positions, spec.joints, 1, spec.spine_index, label)
-            try:
-                preprocess_skeleton(skeleton)  # the scale check every loader makes of the clip
-            except DegenerateSkeleton as err:
-                raise ContractError(f"synthetic clip {len(out)} (class {label}) at "
-                                    f"amplitude={spec.amplitude!r} has a {err}") from None
-            out.append((skeleton, FrameFeatureSequence(features, label)))
+            out.append((RawSkeletonSample(positions, spec.joints, 1, spec.spine_index, label),
+                        FrameFeatureSequence(features, label)))
+    # the scale check every loader makes, by the loader's own pass over the clips' sampled frames
+    frames = sample_frames(spec.frames)
+    try:
+        preprocess_skeleton(np.stack([skeleton.positions[frames, 0] for skeleton, _ in out]),
+                            [(1, spec.spine_index)] * len(out))
+    except DegenerateSkeleton as err:
+        raise ContractError(f"synthetic clip {err.clip} (class {out[err.clip][0].label}) at "
+                            f"amplitude={spec.amplitude!r} has a {err}") from None
     return out
 
 
 def generate_synthetic(spec, target=TARGET_FRAMES):
     """Preprocessed dataset of Sample items, samples_per_class per class."""
+    frames = sample_frames(spec.frames, target)
     return [
-        Sample(preprocess_skeleton(skeleton, target), preprocess_features(features, target), label=skeleton.label)
+        Sample(_normalized(skeleton.positions[frames], skeleton.spine_index),
+               preprocess_features(features, target), label=skeleton.label)
         for skeleton, features in generate_raw(spec)
     ]
 

@@ -79,12 +79,12 @@ def lstm_forward(seq, params, reverse=False):
     steps = np.ascontiguousarray(np.swapaxes(seq.data.reshape(math.prod(lead), t_len, d), 0, 1)[order])
     batch = steps.shape[1]
     step_rows = steps.reshape(t_len * batch, d)
-    # One tanh per step covers all four gates: sigmoid(z) = (1 + tanh(z/2))/2.
-    # The halving is folded into the sigmoid columns (i, f and o) of zx and
-    # of a copy of w_h, and the affine step into one multiply by the same
-    # column scale and one add (+0.5, or -0.0 on the cell-input columns).
-    # Halving is exact in float64 and 0.5*t + 0.5 rounds as (1 + t)*0.5
-    # does, so the gates equal stable_sigmoid's, bit for bit.
+    # One tanh per step covers all four gates: the logistic 1/(1 + exp(-z)) is
+    # (1 + tanh(z/2))/2, which overflows at no z. The halving is folded into the
+    # logistic columns (i, f and o) of zx and of a copy of w_h, and the affine
+    # step into one multiply by the same column scale and one add (+0.5, or -0.0
+    # on the cell-input columns). Halving is exact in float64 and 0.5*t + 0.5
+    # rounds as (1 + t)*0.5 does: the gates are 0.5 * (1 + tanh(0.5 * z)) bit for bit.
     gate_scale = np.full(4 * h, 0.5)
     gate_scale[2 * h:3 * h] = 1.0
     gate_shift = np.full(4 * h, 0.5)

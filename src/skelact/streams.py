@@ -17,7 +17,6 @@ from .errors import ContractError, DimensionError, require_integer
 
 _ACTIVATIONS = {
     "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
     "tanh": ad.tanh,
     "linear": lambda t: t,
 }

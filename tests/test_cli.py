@@ -131,6 +131,9 @@ def test_gen_data_missing_out_is_usage_error():
     pytest.param("amplitude=1e155\nsamples_per_class=1\n",
                  "synthetic clip 0 (class 0) at amplitude=1e+155 has a degenerate skeleton: scale "
                  "(mean joint distance from the spine) inf", id="amplitude=1e155"),
+    # a finite frequency whose angular rate overflows: inf * 0 at the first frame would warn
+    pytest.param("base_frequency=1e308\nsamples_per_class=1\n",
+                 "synthetic class 0 has frequency 1e+308", id="base_frequency=1e308"),
 ])
 def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     spec = tmp_path / "gen.cfg"
@@ -139,6 +142,19 @@ def test_gen_data_non_finite_spec_rejected(tmp_path, settings, refusal):
     result = run_cli("gen-data", "--spec", str(spec), "--out", str(out))
     assert result.returncode == 1
     assert refusal in result.stderr and "Warning" not in result.stderr, result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, refusal", [
+    ("base_frequency", "synthetic class 0 has frequency 1e+308 = base_frequency 1e+308 + 0 * frequency_gap 0.75"),
+    ("frequency_gap", "synthetic class 1 has frequency 1e+308 = base_frequency 1.0 + 1 * frequency_gap 1e+308"),
+])
+def test_gen_data_refuses_an_overflowing_frequency_before_numpy_warns(tmp_path, capsys, field, refusal):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(f"{field}=1e308\nsamples_per_class=1\n")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {refusal}, and 2*pi*frequency is not finite\n"
     assert not out.exists()
 
 
@@ -307,6 +323,11 @@ def _mixed_layout_dir(directory):
     return paths
 
 
+def test_cli_binds_the_pose_pass_by_its_own_name():
+    # bench/spans.py names the span of a preprocessor after the attribute cli binds it to
+    assert cli.preprocess_skeleton is preprocess_skeleton
+
+
 def test_batched_poses_equal_the_per_clip_recipe_bit_for_bit(tmp_path):
     paths = _mixed_layout_dir(tmp_path)
     for need_pose, need_rgb in ((True, False), (True, True), (False, True)):
@@ -318,7 +339,6 @@ def test_batched_poses_equal_the_per_clip_recipe_bit_for_bit(tmp_path):
             if need_pose:
                 np.testing.assert_array_equal(sample.pose, preprocess_skeleton_oracle(raw.positions, raw.spine_index),
                                               err_msg=str(path))
-                np.testing.assert_array_equal(sample.pose, preprocess_skeleton(raw), err_msg=str(path))
             else:
                 assert sample.pose is None
             if need_rgb:
@@ -636,7 +656,7 @@ def test_train_and_ablate_describe_their_shared_flags_alike(monkeypatch, capsys)
 # every component each scope reports, frozen so no check drops out unnoticed
 GRADCHECK_COMPONENTS = {
     "op": (
-        "add mul relu sigmoid tanh scale reshape transpose concat sum_all "
+        "add mul relu tanh scale reshape transpose concat sum_all "
         "global_avg_pool matmul dense dense_no_bias softmax layer_norm conv1d_same conv1d_k1 "
         "conv1d_even_same_k2 conv1d_even_same_k4 batched.conv1d_same "
         "batched.conv1d_k1 batched.conv1d_even_same_k2 batched.conv1d_even_same_k4 "

@@ -121,8 +121,10 @@ def test_degenerate_skeleton_rejected():
 def test_preprocess_skeleton_shape():
     rng = np.random.default_rng(6)
     sample = make_sample(rng, frames=33, joints=25)
-    pose = preprocess_skeleton(sample)
-    assert pose.shape == (20, 25, 3)
+    frames = sample.positions[sample_frames(33)]  # [20, 1, 25, 3]
+    poses = frames.reshape(1, 20, 25, 3).copy()
+    preprocess_skeleton(poses, [(1, sample.spine_index)])
+    np.testing.assert_array_equal(poses[0], normalize_positions(frames[:, 0], sample.spine_index))
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ def test_rgb_branch_rejects_wrong_width():
 def test_gradient_check_every_parameter_group():
     # smooth activations: central differences are meaningless at relu kinks,
     # which zero-bias init hits exactly when a whole row is clipped
-    dims = tiny_dims(activations=("tanh", "sigmoid", "linear"))
+    dims = tiny_dims(activations=("tanh", "tanh", "linear"))
     params = build_variant(variant_config("full", "both"), dims, seed=11)
     rng = np.random.default_rng(11)
     pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
@@ -451,7 +451,7 @@ def test_gradient_check_every_parameter_group():
 
 
 def test_gradient_check_inputs():
-    dims = tiny_dims(activations=("tanh", "sigmoid", "linear"))
+    dims = tiny_dims(activations=("tanh", "tanh", "linear"))
     params = build_variant(variant_config("full", "both"), dims, seed=12)
     rng = np.random.default_rng(12)
     pose = ad.Tensor(rng.normal(size=(dims.frames, dims.joints, COORDS)))
@@ -554,6 +554,9 @@ BAD_MANIFESTS = {
     # a zero or negative filter count used to escape as ZeroDivisionError or OverflowError
     "post-filters-zero": lambda m: _with_dims(m, stream={**m["dims"]["stream"], "post_filters": [3, 3, 0]}),
     "post-filters-negative": lambda m: _with_dims(m, stream={**m["dims"]["stream"], "post_filters": [3, 3, -4]}),
+    # an activation no build offers (sigmoid went with autodiff.sigmoid)
+    "activation-sigmoid": lambda m: _with_dims(m, stream={**m["dims"]["stream"],
+                                                          "activations": ["tanh", "sigmoid", "linear"]}),
     # a manifest written before kernel widths, coords and heads became constants
     # and channel_dim became the last post filter count
     "parent-dims-keys": lambda m: _with_dims(m, coords=3, heads=4, stream={

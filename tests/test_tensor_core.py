@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -356,19 +354,8 @@ def test_elementwise_identities():
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.normal(size=(3, 3)))
     np.testing.assert_allclose(ad.add(x, ad.Tensor(np.zeros((3, 3)))).data, x.data)
-    np.testing.assert_allclose(ad.sigmoid(ad.Tensor(np.zeros(2))).data, [0.5, 0.5])
     np.testing.assert_allclose(ad.tanh(ad.Tensor(np.zeros(2))).data, [0.0, 0.0])
     np.testing.assert_allclose(ad.relu(ad.Tensor(np.array([-1.0, 2.0]))).data, [0.0, 2.0])
-
-
-def test_sigmoid_is_stable_and_matches_logistic():
-    z = np.linspace(-30.0, 30.0, 60001)
-    assert np.abs(ad.stable_sigmoid(z) - 1.0 / (1.0 + np.exp(-z))).max() < 1e-15
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        extreme = ad.sigmoid(ad.Tensor(np.array([-1000.0, 1000.0]), requires_grad=True))
-        ad.backward(ad.sum_all(extreme))
-    np.testing.assert_array_equal(extreme.data, [0.0, 1.0])
 
 
 def test_transpose_swaps_named_axes():
@@ -609,7 +596,6 @@ def test_fd_elementwise_ops():
         other = ad.Tensor(rng.normal(size=shape), requires_grad=True)
         _fd(lambda t: ad.sum_all(ad.add(t, other)), x)
         _fd(lambda t: ad.sum_all(ad.mul(t, other)), x)
-        _fd(lambda t: ad.sum_all(ad.sigmoid(t)), x)
         _fd(lambda t: ad.sum_all(ad.tanh(t)), x)
         _fd(lambda t: ad.sum_all(ad.scale(t, -1.7)), x)
         # keep relu inputs away from the kink
@@ -680,7 +666,6 @@ def test_forward_outputs_finite():
     for out in (
         ad.softmax(x),
         ad.layer_norm(x, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))),
-        ad.sigmoid(x),
         ad.tanh(x),
     ):
         assert np.isfinite(out.data).all()
